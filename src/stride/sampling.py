@@ -18,8 +18,11 @@ import bisect
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ComputationError, SchemaError
 
@@ -76,6 +79,11 @@ class _Binning:
     categories: tuple[str, ...]
     breakpoints: tuple[float, ...] = ()
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Label -> category index, for the categorical and multilabel lookups."""
+        return {label: i for i, label in enumerate(self.categories)}
+
 
 def _bool_label(value: bool) -> str:
     return "true" if value else "false"
@@ -126,7 +134,12 @@ def _build_binning(records: Sequence[PopulationRecord], criterion: str, bins: in
 
     if bins < 2:
         raise SchemaError(f"criterion {criterion!r}: numeric binning needs at least 2 bins")
-    numbers = [float(v) for v in values]
+    try:
+        numbers = [float(v) for v in values]
+    except OverflowError:  # an integer too large for a float
+        numbers = [math.inf]
+    if not all(map(math.isfinite, numbers)):
+        raise SchemaError(f"criterion {criterion!r}: numeric values must be finite (no NaN or infinity)")
     if len(numbers) >= 2:
         breakpoints = tuple(statistics.quantiles(numbers, n=bins, method="inclusive"))
     else:
@@ -141,31 +154,34 @@ def _category_indices(record: PopulationRecord, criterion: str, binning: _Binnin
     if binning.kind == "numeric":
         return (bisect.bisect_right(binning.breakpoints, float(value)),)
     if binning.kind == "multilabel":
-        indices = []
-        for element in value:
-            try:
-                indices.append(binning.categories.index(element))
-            except ValueError:
-                raise SchemaError(f"criterion {criterion!r}: label {element!r} outside the population") from None
-        return tuple(indices)
-    label = _bool_label(value) if isinstance(value, bool) else value
-    try:
-        return (binning.categories.index(label),)
-    except ValueError:
-        raise SchemaError(f"criterion {criterion!r}: label {label!r} outside the population") from None
+        labels = tuple(value)
+    else:
+        labels = (_bool_label(value) if isinstance(value, bool) else value,)
+    indices = []
+    for label in labels:
+        try:
+            indices.append(binning.positions[label])
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise SchemaError(f"criterion {criterion!r}: label {label!r} outside the population") from None
+    return tuple(indices)
+
+
+def _distribution_of(
+    record_cats: Iterable[tuple[int, ...]], criterion: str, binning: _Binning
+) -> Distribution:
+    # ``record_cats`` holds one ``_category_indices`` tuple per record.
+    tally = Counter(chain.from_iterable(record_cats))
+    counts = [tally[index] for index in range(len(binning.categories))]
+    total = sum(counts)
+    if total == 0:
+        raise SchemaError(f"criterion {criterion!r}: no values to count")
+    return Distribution(criterion, binning.categories, tuple(c / total for c in counts))
 
 
 def _distribution_under(
     records: Sequence[PopulationRecord], criterion: str, binning: _Binning
 ) -> Distribution:
-    counts = [0] * len(binning.categories)
-    for record in records:
-        for index in _category_indices(record, criterion, binning):
-            counts[index] += 1
-    total = sum(counts)
-    if total == 0:
-        raise SchemaError(f"criterion {criterion!r}: no values to count")
-    return Distribution(criterion, binning.categories, tuple(c / total for c in counts))
+    return _distribution_of((_category_indices(r, criterion, binning) for r in records), criterion, binning)
 
 
 def categorical_distribution(
@@ -255,14 +271,16 @@ def saturation_curve(
     generator, so the whole curve is deterministic for a fixed seed.
     """
     binning = _build_binning(population, criterion, bins)
-    population_dist = _distribution_under(population, criterion, binning)
+    record_cats = [_category_indices(record, criterion, binning) for record in population]
+    population_dist = _distribution_of(record_cats, criterion, binning)
     rng = random.Random(seed)
     points = []
     for size in sizes:
         if not 0 < size <= len(population):
             raise ComputationError(f"sample size {size} outside [1, {len(population)}]")
-        sample = rng.sample(population, size)
-        sample_dist = _distribution_under(sample, criterion, binning)
+        # random.sample picks by position only, so drawing from the binned
+        # records uses the generator exactly as drawing the records would.
+        sample_dist = _distribution_of(rng.sample(record_cats, size), criterion, binning)
         points.append(SaturationPoint(size, js_divergence(sample_dist, population_dist)))
     return tuple(points)
 
@@ -299,73 +317,112 @@ def select_representative_sample(
 
     Starts from a seeded uniform k-subset, then repeatedly swaps one
     member for one non-member whenever that strictly lowers the summed
-    per-criterion divergence, scanning candidates in a fixed order.
-    Stops at a local minimum or after ``max_swaps`` swaps (default
-    ``10 * k``).  The result never has a higher deviation than the
-    starting subset.
+    per-criterion divergence, scanning members and then candidates in
+    index order and taking the first improving swap.  Stops at a local
+    minimum or after ``max_swaps`` swaps (default ``10 * k``; must be
+    >= 0).  The result never has a higher deviation than the starting
+    subset.
+
+    A record's signature is its tuple of category indices over
+    ``criteria``; a trial's deviation depends only on the member's and
+    the candidate's signatures.  So within one scan, records with equal
+    signatures are tried once, by lowest index, and a candidate with the
+    member's own signature is not tried.  This does not change the
+    result: the skipped trials could not have been the first to improve.
     """
     n = len(population)
     if not criteria:
         raise SchemaError("at least one criterion is required")
     if not 0 < k <= n:
         raise ComputationError(f"k must be in [1, {n}], got {k}")
+    if max_swaps is not None and max_swaps < 0:
+        raise SchemaError(f"max_swaps must be >= 0, got {max_swaps}")
 
     binnings = [_build_binning(population, criterion, bins) for criterion in criteria]
-    population_probs = [
-        _distribution_under(population, criterion, binning).probabilities
-        for criterion, binning in zip(criteria, binnings)
-    ]
-    record_cats = [
+    signatures = [
         tuple(_category_indices(record, criterion, binning) for criterion, binning in zip(criteria, binnings))
         for record in population
     ]
+    population_probs = [
+        _distribution_of((signature[c] for signature in signatures), criterion, binning).probabilities
+        for c, (criterion, binning) in enumerate(zip(criteria, binnings))
+    ]
 
+    slices = range(len(criteria))
     counts = [[0] * len(binning.categories) for binning in binnings]
     totals = [0] * len(criteria)
 
-    def apply(record_index: int, sign: int) -> None:
-        cats = record_cats[record_index]
-        for c in range(len(criteria)):
-            for index in cats[c]:
+    def move(signature: tuple[tuple[int, ...], ...], sign: int) -> None:
+        for c in slices:
+            for index in signature[c]:
                 counts[c][index] += sign
-                totals[c] += sign
+            totals[c] += sign * len(signature[c])
 
-    def deviation() -> float:
-        value = 0.0
-        for c in range(len(criteria)):
-            if totals[c] == 0:
-                value += 1.0  # nothing to count on this slice: maximally divergent
-                continue
-            value += _jsd_from_counts(counts[c], totals[c], population_probs[c])
-        return value
+    def term(c: int, removed: tuple[int, ...], added: tuple[int, ...]) -> float:
+        # JSD of criterion ``c`` once ``removed`` leaves the subset and ``added`` joins it.
+        trial_counts = counts[c][:]
+        for index in removed:
+            trial_counts[index] -= 1
+        for index in added:
+            trial_counts[index] += 1
+        total = totals[c] - len(removed) + len(added)
+        if total == 0:
+            return 1.0  # nothing to count on this slice: maximally divergent
+        return _jsd_from_counts(trial_counts, total, population_probs[c])
 
     rng = random.Random(seed)
     chosen = set(rng.sample(range(n), k))
     for index in chosen:
-        apply(index, +1)
+        move(signatures[index], +1)
 
-    current = deviation()
+    # Per-criterion terms of the current subset, summed in criterion order.
+    terms = [term(c, (), ()) for c in slices]
+    current = 0.0
+    for value in terms:
+        current += value
     initial = current
     swap_budget = 10 * k if max_swaps is None else max_swaps
     swaps = 0
     improved = True
     while swaps < swap_budget and improved:
         improved = False
-        outside = sorted(set(range(n)) - chosen)
+        threshold = current - _IMPROVEMENT_EPS
+        # Counts stay fixed until a swap, so for this whole scan a term
+        # depends only on (criterion, member cats, candidate cats):
+        # memo[c][member cats][candidate cats].
+        memo: list[dict[tuple[int, ...], dict[tuple[int, ...], float]]] = [{} for _ in slices]
+        candidates: dict[tuple[tuple[int, ...], ...], int] = {}
+        for index in range(n):
+            if index not in chosen:
+                candidates.setdefault(signatures[index], index)
+        tried = set()
         for member in sorted(chosen):
-            for candidate in outside:
-                apply(member, -1)
-                apply(candidate, +1)
-                trial = deviation()
-                if trial < current - _IMPROVEMENT_EPS:
+            member_sig = signatures[member]
+            if member_sig in tried:
+                continue
+            tried.add(member_sig)
+            # A criterion on which member and candidate agree keeps its term.
+            rows = [memo[c].setdefault(member_sig[c], {member_sig[c]: terms[c]}) for c in slices]
+            for candidate_sig, candidate in candidates.items():
+                if candidate_sig == member_sig:
+                    continue  # counts unchanged: the trial equals current
+                trial = 0.0
+                for c in slices:
+                    added = candidate_sig[c]
+                    value = rows[c].get(added)
+                    if value is None:
+                        value = rows[c][added] = term(c, member_sig[c], added)
+                    trial += value
+                if trial < threshold:
+                    terms = [rows[c][candidate_sig[c]] for c in slices]
+                    move(member_sig, -1)
+                    move(candidate_sig, +1)
                     chosen.remove(member)
                     chosen.add(candidate)
                     current = trial
                     swaps += 1
                     improved = True
                     break
-                apply(candidate, -1)
-                apply(member, +1)
             if improved:
                 break
 

@@ -250,6 +250,31 @@ class TestSample:
         document = json.loads(capsys.readouterr().out)
         assert document["criteria"] == ["region"]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_population_values_exit_2(self, tmp_path, capsys, cell):
+        rows = ["record_id,region,size"] + [f"r{i},{'apac' if i % 2 else 'emea'},{i}.5" for i in range(20)]
+        rows[7] = f"r6,emea,{cell}"
+        path = tmp_path / "population.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        commands = [
+            ["sample", "select", "--population", str(path), "--k", "5", "--seed", "1"],
+            ["sample", "curve", "--population", str(path), "--criterion", "size", "--sizes", "5,10", "--seed", "1"],
+        ]
+        for argv in commands:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "criterion 'size': numeric values must be finite" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_select_rejects_a_negative_swap_budget(self, population_file, capsys):
+        argv = ["sample", "select", "--population", str(population_file), "--k", "5", "--seed", "1", "--max-swaps", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_swaps must be >= 0, got -5" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDelta:
     def test_json_report_by_default(self, rating_files, capsys):

@@ -94,6 +94,11 @@ class TestDistributions:
         with pytest.raises(SchemaError, match="population is empty"):
             categorical_distribution([], "c")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_numbers_are_rejected(self, bad):
+        with pytest.raises(SchemaError, match="criterion 'c': numeric values must be finite"):
+            categorical_distribution(_records([1.0, bad, 3.0]), "c")
+
 
 class TestDivergence:
     def test_identical_distributions_diverge_zero(self):
@@ -186,6 +191,13 @@ class TestAggregateDivergence:
         single = aggregate_divergence(records, sample, ["x"])
         assert combined == pytest.approx(2 * single, abs=1e-12)
 
+    def test_sample_labels_outside_the_population_are_rejected(self):
+        records = [PopulationRecord("r0", {"x": "a", "t": ("p",)}), PopulationRecord("r1", {"x": "b", "t": ("q",)})]
+        for criterion, value, label in [("x", "z", "'z'"), ("t", ("p", "z"), "'z'"), ("x", ["a"], r"\['a'\]")]:
+            sample = [PopulationRecord("s0", {criterion: value})]
+            with pytest.raises(SchemaError, match=f"criterion '{criterion}': label {label} outside the population"):
+                aggregate_divergence(records, sample, [criterion])
+
     def test_requires_criteria_and_sample(self):
         records = _records(["a", "b"])
         with pytest.raises(SchemaError, match="at least one criterion"):
@@ -228,6 +240,10 @@ class TestSelection:
         result = select_representative_sample(industry_population, 20, ["industry"], seed=4, max_swaps=0)
         assert result.swaps_applied == 0
         assert result.deviation == result.initial_deviation
+
+    def test_negative_swap_budget_is_rejected(self, industry_population):
+        with pytest.raises(SchemaError, match="max_swaps must be >= 0, got -5"):
+            select_representative_sample(industry_population, 20, ["industry"], seed=4, max_swaps=-5)
 
     def test_whole_population_selection_is_exact(self, industry_population):
         result = select_representative_sample(
