@@ -61,11 +61,15 @@ def _cmd_score(args: argparse.Namespace) -> int:
     manifest = parse_manifest(_read_text(args.manifest, "manifest"))
     config = _load_weights(args.weights)
     report = score_dataset(manifest, config)
-    run_id = save_run(report, store_path_from_env())
     document = report_to_json(report)
+    # --out is written first, so a bad output path saves no run.
     if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
-    else:
+        try:
+            Path(args.out).write_text(document, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write output file {args.out!r}: {exc}") from None
+    run_id = save_run(report, store_path_from_env())
+    if not args.out:
         sys.stdout.write(document)
     print(f"run saved: {run_id}", file=sys.stderr)
     return 0

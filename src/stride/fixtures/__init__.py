@@ -9,11 +9,3 @@ def fixture_text(name: str) -> str:
     """Return the text of a bundled fixture file by name."""
     return (resources.files(__name__) / name).read_text(encoding="utf-8")
 
-
-def fixture_names() -> list[str]:
-    """List the bundled fixture files."""
-    return sorted(
-        entry.name
-        for entry in resources.files(__name__).iterdir()
-        if entry.name.endswith(".json")
-    )

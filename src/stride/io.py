@@ -375,10 +375,14 @@ def parse_weight_config(text: str) -> WeightConfig:
     """
     if text.strip() == "equal":
         return equal_weight_config()
-    loaded = _load_json(text)
-    if loaded == "equal":
+    return weight_config_from_obj(_load_json(text))
+
+
+def weight_config_from_obj(obj: object) -> WeightConfig:
+    """Decode and normalise an already-parsed weight configuration document."""
+    if obj == "equal":
         return equal_weight_config()
-    root = dict(_obj(loaded, "weights"))
+    root = dict(_obj(obj, "weights"))
 
     alpha_obj = dict(_obj(_take(root, "alpha", "weights"), "alpha"))
     alpha = []
@@ -504,8 +508,7 @@ def report_from_dict(document: dict, path: str = "report") -> StrideReport:
     if not 0 < trust < 1:
         raise SchemaError(f"{path}.trust: must lie strictly between 0 and 1, got {trust!r}")
 
-    config_obj = _obj(_take(root, "config", path), f"{path}.config")
-    config = parse_weight_config(json.dumps(config_obj))
+    config = weight_config_from_obj(_obj(_take(root, "config", path), f"{path}.config"))
     _no_extras(root, path)
 
     return StrideReport(

@@ -5,6 +5,11 @@ identical inputs always map to the same run id and saving is naturally
 idempotent.  Records are single JSON files written atomically
 (temp file + rename); a record whose stored report no longer matches
 its id is reported as corrupt rather than silently served.
+
+A record is canonical JSON (sorted keys, no insignificant whitespace,
+UTF-8) followed by a newline.  Records written in the older indented
+form still load, since loading parses the JSON rather than comparing
+bytes.  Filesystem errors while saving raise :class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .digests import content_digest
+from .digests import canonical_json, content_digest
 from .errors import StoreError
 from .io import report_from_dict, report_to_dict
 from .model import StrideReport
@@ -56,16 +61,21 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
 
     Saving the same report twice keeps the single existing record.  A
     colliding record whose content does not match the id raises
-    :class:`StoreError` instead of being overwritten.
+    :class:`StoreError` instead of being overwritten, and so does any
+    filesystem error while creating the store or writing the record.
     """
     store = Path(store_path)
-    store.mkdir(parents=True, exist_ok=True)
     report_dict = report_to_dict(report)
     run_id = content_digest(report_dict)
     target = _record_path(store, run_id)
-    if target.exists():
+    try:
+        store.mkdir(parents=True, exist_ok=True)
+        exists = target.exists()
+    except OSError as exc:
+        raise StoreError(f"cannot open run store {store}: {exc}") from None
+    if exists:
         existing = _read_record(target)
-        if content_digest(existing["report"]) != run_id:
+        if content_digest(existing.get("report")) != run_id:
             raise StoreError(f"run {run_id}: stored content does not match its id")
         return run_id
 
@@ -76,28 +86,34 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
         "config_digest": content_digest(report_dict["config"]),
         "report": report_dict,
     }
+    data = (canonical_json(record) + "\n").encode("utf-8")
     # Write-rename keeps readers from ever seeing a partial record.
-    fd, temp_name = tempfile.mkstemp(dir=store, prefix=f".{run_id[:12]}-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_name, target)
-    except BaseException:
+        fd, temp_name = tempfile.mkstemp(dir=store, prefix=f".{run_id[:12]}-", suffix=".tmp")
         try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(temp_name, target)
+        except BaseException:
+            try:
+                os.unlink(temp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise StoreError(f"cannot write run record {target.name}: {exc}") from None
     return run_id
 
 
 def _read_record(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise StoreError(f"cannot read run record {path.name}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise StoreError(f"cannot read run record {path.name}: not a JSON object")
+    return raw
 
 
 def resolve_run_id(run_id: str, store_path: Path | str) -> str:

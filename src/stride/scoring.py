@@ -17,11 +17,12 @@ precision, and rounding is left to presentation code.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .digests import content_digest
 from .errors import ComputationError, SchemaError
+from .io import manifest_to_dict
 from .model import (
     COMPONENT_METRICS,
     AgilityStats,
@@ -284,47 +285,33 @@ def trust_score(
 # ---------------------------------------------------------------------------
 
 
-def _metric_inputs(metric: MetricId, manifest: DatasetManifest) -> object:
-    """The manifest slice a metric reads, used for its inputs digest."""
-    governance = manifest.governance
-    if metric is MetricId.INCLUSIVENESS_MATERIALITY:
-        return asdict(manifest.coverage)
-    if metric is MetricId.AUDITABILITY_TRACEABILITY:
-        return [asdict(item) for item in manifest.evidence]
-    if metric is MetricId.EXEMPLARY_REFERENCE:
-        return asdict(manifest.recognition)
-    if metric is MetricId.TIME_RELEVANCE:
-        return asdict(manifest.temporal)
-    if metric is MetricId.STATISTICAL_METHODOLOGY:
-        return None if manifest.sampling_inputs is None else asdict(manifest.sampling_inputs)
-    if metric is MetricId.GROUND_TRUTH:
-        return None if manifest.annotation is None else asdict(manifest.annotation)
-    if metric is MetricId.AGILITY:
-        return None if manifest.agility is None else asdict(manifest.agility)
-    if metric is MetricId.SECURITY_SAFETY:
-        return asdict(manifest.safety)
-    if metric is MetricId.HUMAN_GOVERNED:
-        return {"interventions": governance.interventions, "governed_cases": governance.governed_cases}
-    if metric is MetricId.DOMAIN_EXPERT:
-        return {
-            "experts_involved": governance.experts_involved,
-            "experts_total": governance.experts_total,
-            "stages_with_experts": governance.stages_with_experts,
-            "stages_total": governance.stages_total,
-        }
-    if metric is MetricId.ITERATIVE_FEEDBACK:
-        return {"accuracy_series": list(governance.accuracy_series)}
-    if metric is MetricId.TRANSPARENCY:
-        return {
-            "assumptions_disclosed": governance.assumptions_disclosed,
-            "assumptions_required": governance.assumptions_required,
-        }
-    if metric is MetricId.ROLE_SEPARATION:
-        return {
-            "role_relations_separated": governance.role_relations_separated,
-            "role_relations_total": governance.role_relations_total,
-        }
-    raise KeyError(metric)
+# Where each metric's inputs sit in ``io.manifest_to_dict(manifest)``: a
+# section name takes that whole section, a tuple of keys takes those
+# governance fields.  The slice is what the metric's inputs digest covers.
+_METRIC_INPUTS: dict[MetricId, str | tuple[str, ...]] = {
+    MetricId.INCLUSIVENESS_MATERIALITY: "coverage",
+    MetricId.AUDITABILITY_TRACEABILITY: "evidence",
+    MetricId.EXEMPLARY_REFERENCE: "recognition",
+    MetricId.TIME_RELEVANCE: "temporal",
+    MetricId.STATISTICAL_METHODOLOGY: "sampling_inputs",
+    MetricId.GROUND_TRUTH: "annotation",
+    MetricId.AGILITY: "agility",
+    MetricId.SECURITY_SAFETY: "safety",
+    MetricId.HUMAN_GOVERNED: ("interventions", "governed_cases"),
+    MetricId.DOMAIN_EXPERT: ("experts_involved", "experts_total", "stages_with_experts", "stages_total"),
+    MetricId.ITERATIVE_FEEDBACK: ("accuracy_series",),
+    MetricId.TRANSPARENCY: ("assumptions_disclosed", "assumptions_required"),
+    MetricId.ROLE_SEPARATION: ("role_relations_separated", "role_relations_total"),
+}
+
+
+def _metric_inputs(metric: MetricId, document: dict) -> object:
+    """The slice of a manifest document that ``metric`` reads."""
+    source = _METRIC_INPUTS[metric]
+    if isinstance(source, str):
+        return document[source]
+    governance = document["governance"]
+    return {key: governance[key] for key in source}
 
 
 def _evaluate_metric(metric: MetricId, manifest: DatasetManifest) -> float | None:
@@ -378,10 +365,11 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         details = "; ".join(str(v) for v in violations)
         raise SchemaError(f"manifest validation failed: {details}")
     normalised = validate_weight_config(config)
+    document = manifest_to_dict(manifest)
 
     sub_scores = []
     for metric in MetricId:
-        digest = content_digest(_metric_inputs(metric, manifest))
+        digest = content_digest(_metric_inputs(metric, document))
         if not normalised.applicability[metric]:
             sub_scores.append(SubScore(metric, None, False, digest))
             continue
@@ -406,7 +394,7 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         component_scores=components,
         trust=trust,
         config_snapshot=normalised,
-        manifest_digest=content_digest(asdict(manifest)),
+        manifest_digest=content_digest(document),
     )
 
 

@@ -107,6 +107,29 @@ class TestScore:
         assert exit_code == 3
         assert "governed_cases" in captured.err
 
+    def test_store_filesystem_error_exits_3(self, tmp_path, manifest_file, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        monkeypatch.setenv("STRIDE_STORE", str(blocker / "store"))
+        exit_code = main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.err.startswith("error: cannot open run store")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_out_exits_2_and_saves_no_run(self, store, manifest_file, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "report.json"
+        exit_code = main(
+            ["score", "--manifest", str(manifest_file), "--weights", "equal", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: cannot write output file")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+        assert not store.exists() or list(store.iterdir()) == []
+
 
 class TestExplain:
     def test_explain_accepts_a_unique_prefix(self, store, manifest_file, capsys):
@@ -121,6 +144,16 @@ class TestExplain:
         assert "[enters as -0.25 * S]" in captured.out
         assert "AT  not applicable" in captured.out
         assert captured.out.rstrip().endswith("trust = 0.5598")
+
+    def test_indented_record_explains_the_same(self, store, manifest_file, capsys):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        assert main(["explain", "--run", run_id]) == 0
+        expected = capsys.readouterr().out
+        path = store / f"{run_id}.json"
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+        assert main(["explain", "--run", run_id]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_unknown_run_exits_3(self, store, manifest_file, capsys):
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from stride.digests import canonical_json, content_digest
 from stride.errors import StoreError
 from stride.io import report_to_dict
 from stride.runstore import (
@@ -62,6 +63,23 @@ class TestSaveAndLoad:
         (tmp_path / f"{run_id}.json").write_text("{not json")
         with pytest.raises(StoreError, match="cannot read run record"):
             load_run(run_id, tmp_path)
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"text"', "null"])
+    def test_record_that_is_not_an_object_is_reported(self, report, tmp_path, text):
+        run_id = save_run(report, tmp_path)
+        (tmp_path / f"{run_id}.json").write_text(text)
+        with pytest.raises(StoreError, match="not a JSON object"):
+            load_run(run_id, tmp_path)
+        with pytest.raises(StoreError, match="not a JSON object"):
+            save_run(report, tmp_path)
+
+    def test_existing_record_without_a_report_is_not_overwritten(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        path = tmp_path / f"{run_id}.json"
+        path.write_text("{}")
+        with pytest.raises(StoreError, match="does not match its id"):
+            save_run(report, tmp_path)
+        assert path.read_text() == "{}"
 
     def test_record_missing_fields_is_reported(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
@@ -135,6 +153,56 @@ class TestRunIdStability:
         assert run_id_for(shifted) != run_id_for(report)
 
     def test_id_is_the_digest_of_the_report_document(self, report):
-        from stride.digests import content_digest
-
         assert run_id_for(report) == content_digest(report_to_dict(report))
+
+
+def _rewrite_indented(path) -> str:
+    """Rewrite a record in the indented form older versions wrote."""
+    text = json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8")
+    return text
+
+
+class TestRecordFormat:
+    def test_record_is_canonical_json(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        text = (tmp_path / f"{run_id}.json").read_text(encoding="utf-8")
+        raw = json.loads(text)
+        assert text == canonical_json(raw) + "\n"
+        assert sorted(raw) == ["config_digest", "manifest_digest", "report", "run_id", "timestamp"]
+        assert raw["run_id"] == run_id
+        assert raw["report"] == report_to_dict(report)
+        assert raw["config_digest"] == content_digest(report_to_dict(report)["config"])
+
+    def test_indented_record_still_loads(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        saved = load_run(run_id, tmp_path)
+        _rewrite_indented(tmp_path / f"{run_id}.json")
+        record = load_run(run_id, tmp_path)
+        assert record == saved
+        assert record.report == report
+
+    def test_saving_again_keeps_an_indented_record(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        path = tmp_path / f"{run_id}.json"
+        before = _rewrite_indented(path).encode("utf-8")
+        assert save_run(report, tmp_path) == run_id
+        assert path.read_bytes() == before
+        assert len(list(tmp_path.iterdir())) == 1
+
+
+class TestStoreErrors:
+    def test_store_under_a_file_is_a_store_error(self, report, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(StoreError, match="cannot open run store"):
+            save_run(report, blocker / "store")
+
+    def test_failed_write_leaves_no_temp_file(self, report, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("stride.runstore.os.replace", refuse)
+        with pytest.raises(StoreError, match="cannot write run record"):
+            save_run(report, tmp_path)
+        assert list(tmp_path.iterdir()) == []
