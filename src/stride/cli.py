@@ -31,12 +31,7 @@ from .runstore import load_run, save_run, store_path_from_env
 from .sampling import saturation_curve, select_representative_sample
 from .scoring import component_breakdowns, score_dataset
 
-_COMPONENT_NAMES = {
-    ComponentId.CREDIBILITY: "credibility",
-    ComponentId.RELIABILITY: "reliability",
-    ComponentId.INTIMACY: "intimacy",
-    ComponentId.SELF_SERVING: "self-serving",
-}
+_COMPONENT_NAMES = {component: component.name.lower().replace("_", "-") for component in ComponentId}
 
 
 def _read_text(path: str, label: str) -> str:
@@ -164,14 +159,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
         parse_annotations(_read_text(args.annotations, "annotations")) if args.annotations else {}
     )
     report = build_delta_report(baseline, recomputed, annotations)
-    sys.stdout.write(
-        emit_delta_report(
-            report.items,
-            format=args.format,
-            baseline_overall=report.baseline_overall,
-            notes=report.notes,
-        )
-    )
+    sys.stdout.write(emit_delta_report(report, format=args.format))
     return 0
 
 

@@ -279,41 +279,31 @@ def _item_dict(item: DiscrepancyItem) -> dict:
     }
 
 
-def emit_delta_report(
-    items: Sequence[DiscrepancyItem],
-    format: str = "json",
-    baseline_overall: str = "",
-    notes: str = "",
-) -> str:
-    """Render items and their net adjustment as a JSON or markdown document.
+def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
+    """Render a delta report's items and net adjustment as JSON or markdown.
 
-    Output is a pure function of the arguments: same items, same bytes.
+    Output is a pure function of the report: same report, same bytes.
     """
-    net = net_adjustment(items)
     if format == "json":
+        net = report.net_adjustment
         document = {
             "spec_version": SPEC_VERSION,
-            "baseline_overall": baseline_overall,
-            "items": [_item_dict(item) for item in items],
+            "baseline_overall": report.baseline_overall,
+            "items": [_item_dict(item) for item in report.items],
             "net_adjustment": {"lower": net.lower, "upper": net.upper},
-            "notes": notes,
+            "notes": report.notes,
         }
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
     if format == "markdown":
-        return _markdown_report(items, net, baseline_overall, notes)
+        return _markdown_report(report)
     raise SchemaError(f"unknown report format {format!r}")
 
 
-def _markdown_report(
-    items: Sequence[DiscrepancyItem],
-    net: Interval,
-    baseline_overall: str,
-    notes: str,
-) -> str:
+def _markdown_report(report: DeltaReport) -> str:
     lines = ["# Rating discrepancy report", ""]
-    if baseline_overall:
-        lines += [f"Baseline overall rating: {baseline_overall}", ""]
-    for item in items:
+    if report.baseline_overall:
+        lines += [f"Baseline overall rating: {report.baseline_overall}", ""]
+    for item in report.items:
         baseline_text = "not scored" if item.baseline_score is None else f"{item.baseline_score:g}"
         if item.stride_assessment is None:
             ours_text = "not scored"
@@ -333,9 +323,9 @@ def _markdown_report(
             f"**Conclusion:** {item.category.value}; adjustment {format_interval(item.adjustment)}.",
             "",
         ]
-    if not items:
+    if not report.items:
         lines += ["No discrepancies.", ""]
-    lines += [f"**Net adjustment: {format_interval(net)}**"]
-    if notes:
-        lines += ["", f"Notes: {notes}"]
+    lines += [f"**Net adjustment: {format_interval(report.net_adjustment)}**"]
+    if report.notes:
+        lines += ["", f"Notes: {report.notes}"]
     return "\n".join(lines) + "\n"

@@ -2,8 +2,14 @@
 
 All readers take document text and fail with :class:`SchemaError`
 messages that name the offending field path (JSON syntax errors carry
-line and column instead).  Writers emit indented JSON whose floats
-round-trip exactly, so ``parse(emit(x))`` reproduces ``x``.
+line and column instead).  Numbers must be finite: ``NaN`` and
+``Infinity`` literals, and values beyond float range, are refused.
+Writers emit indented JSON whose floats round-trip exactly, so
+``parse(emit(x))`` reproduces ``x``.
+
+The manifest codec follows the :mod:`stride.model` dataclasses: its
+field names, nesting and types come from their fields, read once at
+import, so a manifest field is declared in one place only.
 """
 
 from __future__ import annotations
@@ -11,27 +17,22 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
+import re
+from dataclasses import fields, is_dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .delta import Annotation, DiscrepancyCategory, Interval, IssueScore, RatingRecord, validate_interval
 from .errors import SchemaError
 from .model import (
+    COMPONENT_METRICS,
     SPEC_VERSION,
-    AgilityStats,
-    AnnotationStats,
     ComponentId,
-    CoverageProfile,
     DatasetManifest,
-    EvidenceItem,
-    GovernanceStats,
     MetricId,
-    RecognitionProfile,
-    SafetyAudit,
-    SamplingInputs,
     StrideReport,
     SubScore,
-    TemporalProfile,
     Violation,
     WeightConfig,
     equal_weight_config,
@@ -41,29 +42,7 @@ from .model import (
 from .sampling import PopulationRecord
 
 # Weight groups as they appear in configuration documents.
-_WEIGHT_GROUPS: dict[str, tuple[MetricId, ...]] = {
-    "credibility": (
-        MetricId.INCLUSIVENESS_MATERIALITY,
-        MetricId.AUDITABILITY_TRACEABILITY,
-        MetricId.EXEMPLARY_REFERENCE,
-        MetricId.TIME_RELEVANCE,
-    ),
-    "reliability": (
-        MetricId.STATISTICAL_METHODOLOGY,
-        MetricId.GROUND_TRUTH,
-        MetricId.AGILITY,
-        MetricId.SECURITY_SAFETY,
-    ),
-    "intimacy": (
-        MetricId.HUMAN_GOVERNED,
-        MetricId.DOMAIN_EXPERT,
-        MetricId.ITERATIVE_FEEDBACK,
-    ),
-    "self_serving": (
-        MetricId.TRANSPARENCY,
-        MetricId.ROLE_SEPARATION,
-    ),
-}
+_WEIGHT_GROUPS = {component.name.lower(): members for component, members in COMPONENT_METRICS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +50,25 @@ _WEIGHT_GROUPS: dict[str, tuple[MetricId, ...]] = {
 # ---------------------------------------------------------------------------
 
 
+class _NonFiniteLiteral(Exception):
+    pass
+
+
+def _refuse_constant(name: str) -> float:
+    raise _NonFiniteLiteral(name)
+
+
 def _load_json(text: str) -> object:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        error = exc
+    except _NonFiniteLiteral:
+        # The parser does not say where.  Strings skipped, the first literal is the one it met.
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', text)
+        literal = next(m for m in tokens if m.group(1))
+        error = json.JSONDecodeError(f"{literal.group(1)} is not a finite number", text, literal.start())
+    raise SchemaError(f"invalid JSON at line {error.lineno}, column {error.colno}: {error.msg}")
 
 
 def _obj(value: object, path: str) -> dict:
@@ -102,16 +95,25 @@ def _as_str(value: object, path: str) -> str:
     return value
 
 
+# Integers of this magnitude or more round past the largest float.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
 def _as_int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
+    if not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+        raise SchemaError(f"{path}: expected a finite number within float range")
     return value
 
 
 def _as_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    number = float(_as_int(value, path) if isinstance(value, int) else value)
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number within float range")
+    return number
 
 
 def _as_bool(value: object, path: str) -> bool:
@@ -139,128 +141,84 @@ def _as_date(value: object, path: str) -> date:
 # ---------------------------------------------------------------------------
 
 
+# The manifest codec follows the ``model`` dataclasses.  Each class gets
+# one table, built at import, of (field name, decoder, encoder, nullable,
+# may be absent).  ``X | None`` fields are absent-or-null; a field named
+# in _OMITTABLE may be left out and takes its dataclass default; every
+# other field is required, defaulted or not.
+_OMITTABLE = frozenset({"epsilon"})
+_PRIMITIVES = {str: _as_str, int: _as_int, float: _as_float}
+_CODECS: dict[type, list[tuple[str, Callable, Callable | None, bool, bool]]] = {}
+
+
+def _field_codec(tp: object) -> tuple[Callable, Callable | None]:
+    """(decoder, encoder) for one field type; a ``None`` encoder keeps the value."""
+    if tp in _PRIMITIVES:
+        return _PRIMITIVES[tp], None
+    if is_dataclass(tp):
+        if tp not in _CODECS:
+            _build_codec(tp)
+        return (lambda value, path: _decode_object(tp, value, path, path + ".")), _encode_object
+    container, (item_type, *_) = get_origin(tp), get_args(tp)
+    if container not in (frozenset, tuple):
+        raise TypeError(f"no manifest codec for {tp!r}")
+    decode_item, encode_item = _field_codec(item_type)
+
+    def decode(value: object, path: str) -> object:
+        return container(decode_item(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
+
+    if container is frozenset:
+        return decode, sorted  # so that equal sets encode alike
+    if encode_item is None:
+        return decode, list
+    return decode, lambda values: [encode_item(v) for v in values]
+
+
+def _build_codec(cls: type) -> None:
+    hints = get_type_hints(cls)
+    table, arrays = [], []
+    for field in fields(cls):
+        tp = hints[field.name]
+        nullable = type(None) in get_args(tp)
+        if nullable:
+            tp = get_args(tp)[0]
+        decode, encode = _field_codec(tp)
+        entry = (field.name, decode, encode, nullable, nullable or field.name in _OMITTABLE)
+        (arrays if get_origin(tp) else table).append(entry)
+    # Array fields are read first: of several missing fields, the first array is reported.
+    _CODECS[cls] = arrays + table
+
+
+def _decode_object(cls: type, value: object, path: str, prefix: str) -> object:
+    """Decode one object; ``path`` names the object, ``prefix`` starts its fields' paths."""
+    obj = dict(_obj(value, path))
+    kwargs = {}
+    for name, decode, _, nullable, omittable in _CODECS[cls]:
+        if name not in obj:
+            if omittable:
+                continue
+            raise SchemaError(f"{path}.{name}: missing required field")
+        item = obj.pop(name)
+        kwargs[name] = None if nullable and item is None else decode(item, prefix + name)
+    _no_extras(obj, path)
+    return cls(**kwargs)
+
+
+def _encode_object(obj: object) -> dict:
+    result = {}
+    for name, _, encode, _, _ in _CODECS[type(obj)]:
+        value = getattr(obj, name)
+        result[name] = value if encode is None or value is None else encode(value)
+    return result
+
+
+_build_codec(DatasetManifest)
+
+
 def decode_manifest(text: str) -> DatasetManifest:
     """Structural decode only; invariants are left to :func:`validate_manifest`."""
-    root = dict(_obj(_load_json(text), "manifest"))
-
-    coverage_obj = dict(_obj(_take(root, "coverage", "manifest"), "coverage"))
-    layers = _as_list(_take(coverage_obj, "standard_layers_covered", "coverage"), "coverage.standard_layers_covered")
-    coverage = CoverageProfile(
-        countries_covered=_as_int(_take(coverage_obj, "countries_covered", "coverage"), "coverage.countries_covered"),
-        countries_total=_as_int(_take(coverage_obj, "countries_total", "coverage"), "coverage.countries_total"),
-        industries_covered=_as_int(_take(coverage_obj, "industries_covered", "coverage"), "coverage.industries_covered"),
-        industries_total=_as_int(_take(coverage_obj, "industries_total", "coverage"), "coverage.industries_total"),
-        standard_layers_covered=frozenset(
-            _as_str(layer, f"coverage.standard_layers_covered[{i}]") for i, layer in enumerate(layers)
-        ),
-        standard_layers_total=_as_int(_take(coverage_obj, "standard_layers_total", "coverage"), "coverage.standard_layers_total"),
-        external_data_flag=_as_int(_take(coverage_obj, "external_data_flag", "coverage"), "coverage.external_data_flag"),
-    )
-    _no_extras(coverage_obj, "coverage")
-
-    evidence = []
-    for index, entry in enumerate(_as_list(_take(root, "evidence", "manifest"), "evidence")):
-        path = f"evidence[{index}]"
-        item_obj = dict(_obj(entry, path))
-        evidence.append(
-            EvidenceItem(
-                id=_as_str(_take(item_obj, "id", path), f"{path}.id"),
-                source_uri=_as_str(_take(item_obj, "source_uri", path), f"{path}.source_uri"),
-                auditability=_as_float(_take(item_obj, "auditability", path), f"{path}.auditability"),
-                traceability=_as_float(_take(item_obj, "traceability", path), f"{path}.traceability"),
-            )
-        )
-        _no_extras(item_obj, path)
-
-    recognition_obj = dict(_obj(_take(root, "recognition", "manifest"), "recognition"))
-    recognition = RecognitionProfile(
-        recognitions_per_year=_as_int(_take(recognition_obj, "recognitions_per_year", "recognition"), "recognition.recognitions_per_year"),
-        single_event_confidence=_as_float(_take(recognition_obj, "single_event_confidence", "recognition"), "recognition.single_event_confidence"),
-    )
-    _no_extras(recognition_obj, "recognition")
-
-    temporal_obj = dict(_obj(_take(root, "temporal", "manifest"), "temporal"))
-    temporal = TemporalProfile(
-        lag_years=_as_float(_take(temporal_obj, "lag_years", "temporal"), "temporal.lag_years"),
-        decay_rate=_as_float(_take(temporal_obj, "decay_rate", "temporal"), "temporal.decay_rate"),
-    )
-    _no_extras(temporal_obj, "temporal")
-
-    annotation = None
-    if root.get("annotation") is not None:
-        annotation_obj = dict(_obj(root["annotation"], "annotation"))
-        annotation = AnnotationStats(
-            human_fraction=_as_float(_take(annotation_obj, "human_fraction", "annotation"), "annotation.human_fraction"),
-            mean_tenure_years=_as_float(_take(annotation_obj, "mean_tenure_years", "annotation"), "annotation.mean_tenure_years"),
-            tenure_cap_years=_as_float(_take(annotation_obj, "tenure_cap_years", "annotation"), "annotation.tenure_cap_years"),
-            human_machine_deviation=_as_float(_take(annotation_obj, "human_machine_deviation", "annotation"), "annotation.human_machine_deviation"),
-            machine_machine_deviation=_as_float(_take(annotation_obj, "machine_machine_deviation", "annotation"), "annotation.machine_machine_deviation"),
-        )
-        _no_extras(annotation_obj, "annotation")
-    root.pop("annotation", None)
-
-    agility = None
-    if root.get("agility") is not None:
-        agility_obj = dict(_obj(root["agility"], "agility"))
-        epsilon = agility_obj.pop("epsilon", 1e-6)
-        agility = AgilityStats(
-            accuracy_gain=_as_float(_take(agility_obj, "accuracy_gain", "agility"), "agility.accuracy_gain"),
-            change_proportion=_as_float(_take(agility_obj, "change_proportion", "agility"), "agility.change_proportion"),
-            epsilon=_as_float(epsilon, "agility.epsilon"),
-        )
-        _no_extras(agility_obj, "agility")
-    root.pop("agility", None)
-
-    safety_obj = dict(_obj(_take(root, "safety", "manifest"), "safety"))
-    safety = SafetyAudit(
-        harmful_rows=_as_int(_take(safety_obj, "harmful_rows", "safety"), "safety.harmful_rows"),
-        total_rows=_as_int(_take(safety_obj, "total_rows", "safety"), "safety.total_rows"),
-    )
-    _no_extras(safety_obj, "safety")
-
-    governance_obj = dict(_obj(_take(root, "governance", "manifest"), "governance"))
-    series = _as_list(_take(governance_obj, "accuracy_series", "governance"), "governance.accuracy_series")
-    governance = GovernanceStats(
-        interventions=_as_int(_take(governance_obj, "interventions", "governance"), "governance.interventions"),
-        governed_cases=_as_int(_take(governance_obj, "governed_cases", "governance"), "governance.governed_cases"),
-        experts_involved=_as_int(_take(governance_obj, "experts_involved", "governance"), "governance.experts_involved"),
-        experts_total=_as_int(_take(governance_obj, "experts_total", "governance"), "governance.experts_total"),
-        stages_with_experts=_as_int(_take(governance_obj, "stages_with_experts", "governance"), "governance.stages_with_experts"),
-        stages_total=_as_int(_take(governance_obj, "stages_total", "governance"), "governance.stages_total"),
-        accuracy_series=tuple(_as_float(v, f"governance.accuracy_series[{i}]") for i, v in enumerate(series)),
-        assumptions_disclosed=_as_int(_take(governance_obj, "assumptions_disclosed", "governance"), "governance.assumptions_disclosed"),
-        assumptions_required=_as_int(_take(governance_obj, "assumptions_required", "governance"), "governance.assumptions_required"),
-        role_relations_separated=_as_int(_take(governance_obj, "role_relations_separated", "governance"), "governance.role_relations_separated"),
-        role_relations_total=_as_int(_take(governance_obj, "role_relations_total", "governance"), "governance.role_relations_total"),
-    )
-    _no_extras(governance_obj, "governance")
-
-    sampling_inputs = None
-    if root.get("sampling_inputs") is not None:
-        si_obj = dict(_obj(root["sampling_inputs"], "sampling_inputs"))
-        sampling_inputs = SamplingInputs(
-            sample_size=_as_int(_take(si_obj, "sample_size", "sampling_inputs"), "sampling_inputs.sample_size"),
-            saturation_threshold=_as_int(_take(si_obj, "saturation_threshold", "sampling_inputs"), "sampling_inputs.saturation_threshold"),
-            share_deviation=_as_float(_take(si_obj, "share_deviation", "sampling_inputs"), "sampling_inputs.share_deviation"),
-        )
-        _no_extras(si_obj, "sampling_inputs")
-    root.pop("sampling_inputs", None)
-
-    manifest = DatasetManifest(
-        manifest_version=_as_str(_take(root, "manifest_version", "manifest"), "manifest_version"),
-        dataset_id=_as_str(_take(root, "dataset_id", "manifest"), "dataset_id"),
-        coverage=coverage,
-        evidence=tuple(evidence),
-        recognition=recognition,
-        temporal=temporal,
-        safety=safety,
-        governance=governance,
-        annotation=annotation,
-        agility=agility,
-        sampling_inputs=sampling_inputs,
-    )
-    _no_extras(root, "manifest")
-    return manifest
+    # Root fields are named without a prefix, but a missing one reads manifest.<name>.
+    return _decode_object(DatasetManifest, _load_json(text), "manifest", "")
 
 
 def parse_manifest(text: str) -> DatasetManifest:
@@ -274,82 +232,7 @@ def parse_manifest(text: str) -> DatasetManifest:
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
-    coverage = manifest.coverage
-    governance = manifest.governance
-    result: dict = {
-        "manifest_version": manifest.manifest_version,
-        "dataset_id": manifest.dataset_id,
-        "coverage": {
-            "countries_covered": coverage.countries_covered,
-            "countries_total": coverage.countries_total,
-            "industries_covered": coverage.industries_covered,
-            "industries_total": coverage.industries_total,
-            "standard_layers_covered": sorted(coverage.standard_layers_covered),
-            "standard_layers_total": coverage.standard_layers_total,
-            "external_data_flag": coverage.external_data_flag,
-        },
-        "evidence": [
-            {
-                "id": item.id,
-                "source_uri": item.source_uri,
-                "auditability": item.auditability,
-                "traceability": item.traceability,
-            }
-            for item in manifest.evidence
-        ],
-        "recognition": {
-            "recognitions_per_year": manifest.recognition.recognitions_per_year,
-            "single_event_confidence": manifest.recognition.single_event_confidence,
-        },
-        "temporal": {
-            "lag_years": manifest.temporal.lag_years,
-            "decay_rate": manifest.temporal.decay_rate,
-        },
-        "annotation": None,
-        "agility": None,
-        "safety": {
-            "harmful_rows": manifest.safety.harmful_rows,
-            "total_rows": manifest.safety.total_rows,
-        },
-        "governance": {
-            "interventions": governance.interventions,
-            "governed_cases": governance.governed_cases,
-            "experts_involved": governance.experts_involved,
-            "experts_total": governance.experts_total,
-            "stages_with_experts": governance.stages_with_experts,
-            "stages_total": governance.stages_total,
-            "accuracy_series": list(governance.accuracy_series),
-            "assumptions_disclosed": governance.assumptions_disclosed,
-            "assumptions_required": governance.assumptions_required,
-            "role_relations_separated": governance.role_relations_separated,
-            "role_relations_total": governance.role_relations_total,
-        },
-        "sampling_inputs": None,
-    }
-    if manifest.annotation is not None:
-        a = manifest.annotation
-        result["annotation"] = {
-            "human_fraction": a.human_fraction,
-            "mean_tenure_years": a.mean_tenure_years,
-            "tenure_cap_years": a.tenure_cap_years,
-            "human_machine_deviation": a.human_machine_deviation,
-            "machine_machine_deviation": a.machine_machine_deviation,
-        }
-    if manifest.agility is not None:
-        g = manifest.agility
-        result["agility"] = {
-            "accuracy_gain": g.accuracy_gain,
-            "change_proportion": g.change_proportion,
-            "epsilon": g.epsilon,
-        }
-    if manifest.sampling_inputs is not None:
-        si = manifest.sampling_inputs
-        result["sampling_inputs"] = {
-            "sample_size": si.sample_size,
-            "saturation_threshold": si.saturation_threshold,
-            "share_deviation": si.share_deviation,
-        }
-    return result
+    return _encode_object(manifest)
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
@@ -638,7 +521,7 @@ def parse_rating_record(text: str, label: str = "rating") -> RatingRecord:
 
 def _as_interval(value: object, path: str) -> Interval:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        point = float(value)
+        point = _as_float(value, path)
         return Interval(point, point)
     entries = _as_list(value, path)
     if len(entries) != 2:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .digests import content_digest
 from .errors import ComputationError, SchemaError
@@ -35,6 +35,7 @@ from .model import (
     MetricId,
     RecognitionProfile,
     SafetyAudit,
+    SamplingInputs,
     StrideReport,
     SubScore,
     TemporalProfile,
@@ -285,71 +286,34 @@ def trust_score(
 # ---------------------------------------------------------------------------
 
 
-# Where each metric's inputs sit in ``io.manifest_to_dict(manifest)``: a
-# section name takes that whole section, a tuple of keys takes those
-# governance fields.  The slice is what the metric's inputs digest covers.
-_METRIC_INPUTS: dict[MetricId, str | tuple[str, ...]] = {
-    MetricId.INCLUSIVENESS_MATERIALITY: "coverage",
-    MetricId.AUDITABILITY_TRACEABILITY: "evidence",
-    MetricId.EXEMPLARY_REFERENCE: "recognition",
-    MetricId.TIME_RELEVANCE: "temporal",
-    MetricId.STATISTICAL_METHODOLOGY: "sampling_inputs",
-    MetricId.GROUND_TRUTH: "annotation",
-    MetricId.AGILITY: "agility",
-    MetricId.SECURITY_SAFETY: "safety",
-    MetricId.HUMAN_GOVERNED: ("interventions", "governed_cases"),
-    MetricId.DOMAIN_EXPERT: ("experts_involved", "experts_total", "stages_with_experts", "stages_total"),
-    MetricId.ITERATIVE_FEEDBACK: ("accuracy_series",),
-    MetricId.TRANSPARENCY: ("assumptions_disclosed", "assumptions_required"),
-    MetricId.ROLE_SEPARATION: ("role_relations_separated", "role_relations_total"),
+def _sampled_methodology(inputs: SamplingInputs) -> float:
+    return statistical_methodology(inputs.sample_size, inputs.saturation_threshold, inputs.share_deviation)
+
+
+def _accuracy_feedback(stats: GovernanceStats) -> float | None:
+    return iterative_feedback(stats.accuracy_series)
+
+
+# Each metric's inputs and formula.  A section name passes that manifest
+# section to the formula; a tuple of keys passes the governance section.
+# The inputs digest covers the same slice of ``io.manifest_to_dict``: the
+# whole section, or those governance keys.  A section that is ``None``
+# leaves its metric inapplicable.
+_METRICS: dict[MetricId, tuple[str | tuple[str, ...], Callable[..., float | None]]] = {
+    MetricId.INCLUSIVENESS_MATERIALITY: ("coverage", inclusiveness_materiality),
+    MetricId.AUDITABILITY_TRACEABILITY: ("evidence", auditability_traceability),
+    MetricId.EXEMPLARY_REFERENCE: ("recognition", exemplary_reference),
+    MetricId.TIME_RELEVANCE: ("temporal", time_relevance),
+    MetricId.STATISTICAL_METHODOLOGY: ("sampling_inputs", _sampled_methodology),
+    MetricId.GROUND_TRUTH: ("annotation", ground_truth),
+    MetricId.AGILITY: ("agility", agility),
+    MetricId.SECURITY_SAFETY: ("safety", security_safety),
+    MetricId.HUMAN_GOVERNED: (("interventions", "governed_cases"), human_governed),
+    MetricId.DOMAIN_EXPERT: (("experts_involved", "experts_total", "stages_with_experts", "stages_total"), domain_expert),
+    MetricId.ITERATIVE_FEEDBACK: (("accuracy_series",), _accuracy_feedback),
+    MetricId.TRANSPARENCY: (("assumptions_disclosed", "assumptions_required"), transparency),
+    MetricId.ROLE_SEPARATION: (("role_relations_separated", "role_relations_total"), role_separation),
 }
-
-
-def _metric_inputs(metric: MetricId, document: dict) -> object:
-    """The slice of a manifest document that ``metric`` reads."""
-    source = _METRIC_INPUTS[metric]
-    if isinstance(source, str):
-        return document[source]
-    governance = document["governance"]
-    return {key: governance[key] for key in source}
-
-
-def _evaluate_metric(metric: MetricId, manifest: DatasetManifest) -> float | None:
-    """Evaluate one metric on manifest data; ``None`` means not applicable."""
-    if metric is MetricId.INCLUSIVENESS_MATERIALITY:
-        return inclusiveness_materiality(manifest.coverage)
-    if metric is MetricId.AUDITABILITY_TRACEABILITY:
-        return auditability_traceability(manifest.evidence)
-    if metric is MetricId.EXEMPLARY_REFERENCE:
-        return exemplary_reference(manifest.recognition)
-    if metric is MetricId.TIME_RELEVANCE:
-        return time_relevance(manifest.temporal)
-    if metric is MetricId.STATISTICAL_METHODOLOGY:
-        if manifest.sampling_inputs is None:
-            return None
-        si = manifest.sampling_inputs
-        return statistical_methodology(si.sample_size, si.saturation_threshold, si.share_deviation)
-    if metric is MetricId.GROUND_TRUTH:
-        if manifest.annotation is None:
-            return None
-        return ground_truth(manifest.annotation)
-    if metric is MetricId.AGILITY:
-        if manifest.agility is None:
-            return None
-        return agility(manifest.agility)
-    if metric is MetricId.SECURITY_SAFETY:
-        return security_safety(manifest.safety)
-    if metric is MetricId.HUMAN_GOVERNED:
-        return human_governed(manifest.governance)
-    if metric is MetricId.DOMAIN_EXPERT:
-        return domain_expert(manifest.governance)
-    if metric is MetricId.ITERATIVE_FEEDBACK:
-        return iterative_feedback(manifest.governance.accuracy_series)
-    if metric is MetricId.TRANSPARENCY:
-        return transparency(manifest.governance)
-    if metric is MetricId.ROLE_SEPARATION:
-        return role_separation(manifest.governance)
-    raise KeyError(metric)
 
 
 def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideReport:
@@ -369,11 +333,17 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
 
     sub_scores = []
     for metric in MetricId:
-        digest = content_digest(_metric_inputs(metric, document))
+        inputs, formula = _METRICS[metric]
+        if isinstance(inputs, str):
+            section, sliced = getattr(manifest, inputs), document[inputs]
+        else:
+            section = manifest.governance
+            sliced = {key: document["governance"][key] for key in inputs}
+        digest = content_digest(sliced)
         if not normalised.applicability[metric]:
             sub_scores.append(SubScore(metric, None, False, digest))
             continue
-        value = _evaluate_metric(metric, manifest)
+        value = None if section is None else formula(section)
         sub_scores.append(SubScore(metric, value, value is not None, digest))
 
     breakdowns = {

@@ -133,7 +133,7 @@ def test_criterion_3_net_adjustment(luxshare_baseline, luxshare_recomputed, luxs
         failures.append(f"net lower: expected +0.1, got {report.net_adjustment.lower!r}")
     if abs(report.net_adjustment.upper - 0.7) > 1e-12:
         failures.append(f"net upper: expected +0.7, got {report.net_adjustment.upper!r}")
-    rendered = emit_delta_report(report.items, "markdown", report.baseline_overall, report.notes)
+    rendered = emit_delta_report(report, "markdown")
     if "**Net adjustment: +0.1 to +0.7**" not in rendered:
         failures.append("markdown report does not state the net interval +0.1 to +0.7")
 

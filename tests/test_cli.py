@@ -90,6 +90,32 @@ class TestScore:
         assert exit_code == 2
         assert captured.err.startswith("error: manifest invariant violation")
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("decay_rate", "NaN"),
+            ("decay_rate", "-Infinity"),
+            ("decay_rate", "1e400"),
+            ("total_rows", str(10**400)),
+        ],
+        ids=["nan", "minus-infinity", "1e400", "10**400"],
+    )
+    def test_non_finite_or_oversized_numbers_exit_2(self, store, tmp_path, capsys, field, literal):
+        text = fixture_text("luxshare_manifest.json")
+        document = json.loads(text)
+        section = "temporal" if field == "decay_rate" else "safety"
+        original = json.dumps({field: document[section][field]})[1:-1]
+        assert text.count(original) == 1
+        bad = tmp_path / "poisoned.json"
+        bad.write_text(text.replace(original, f'"{field}": {literal}'), encoding="utf-8")
+        exit_code = main(["score", "--manifest", str(bad), "--weights", "equal"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not store.exists() or not list(store.iterdir())
+
     def test_missing_manifest_file_exits_2(self, store, capsys):
         exit_code = main(["score", "--manifest", "/nonexistent/manifest.json", "--weights", "equal"])
         captured = capsys.readouterr()

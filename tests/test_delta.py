@@ -10,6 +10,7 @@ import pytest
 from stride.delta import (
     ZERO_INTERVAL,
     Annotation,
+    DeltaReport,
     DiscrepancyCategory,
     DiscrepancyItem,
     Interval,
@@ -201,19 +202,19 @@ class TestDeltaReport:
 
     def test_json_emission_round_trips(self, luxshare_baseline, luxshare_recomputed, luxshare_annotations):
         report = build_delta_report(luxshare_baseline, luxshare_recomputed, luxshare_annotations)
-        text = emit_delta_report(report.items, "json", report.baseline_overall, report.notes)
+        text = emit_delta_report(report, "json")
         assert text.endswith("\n")
         document = json.loads(text)
         assert document["baseline_overall"] == "BB"
         assert document["net_adjustment"]["lower"] == report.net_adjustment.lower
         assert document["net_adjustment"]["upper"] == report.net_adjustment.upper
         assert [item["issue_key"] for item in document["items"]] == ["chemical_safety", "executive_pay_disclosure"]
-        again = emit_delta_report(report.items, "json", report.baseline_overall, report.notes)
+        again = emit_delta_report(report, "json")
         assert text == again
 
     def test_markdown_emission_structure(self, luxshare_baseline, luxshare_recomputed, luxshare_annotations):
         report = build_delta_report(luxshare_baseline, luxshare_recomputed, luxshare_annotations)
-        text = emit_delta_report(report.items, "markdown", report.baseline_overall, report.notes)
+        text = emit_delta_report(report, "markdown")
         assert text.startswith("# Rating discrepancy report\n")
         assert "## chemical_safety" in text
         assert "## executive_pay_disclosure" in text
@@ -222,10 +223,10 @@ class TestDeltaReport:
         assert "**Net adjustment: +0.1 to +0.7**" in text
 
     def test_markdown_without_items(self):
-        text = emit_delta_report((), "markdown")
+        text = emit_delta_report(DeltaReport((), ZERO_INTERVAL), "markdown")
         assert "No discrepancies." in text
         assert "**Net adjustment: +0**" in text
 
     def test_unknown_format_is_rejected(self):
         with pytest.raises(SchemaError, match="unknown report format"):
-            emit_delta_report((), "yaml")
+            emit_delta_report(DeltaReport((), ZERO_INTERVAL), "yaml")

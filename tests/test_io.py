@@ -295,3 +295,38 @@ class TestRatingAndAnnotationParsing:
         text = json.dumps({"labor": {"category": "over_penalization", "adjustment": [1.0]}})
         with pytest.raises(SchemaError, match=r"expected \[lower, upper\]"):
             parse_annotations(text)
+
+    @pytest.mark.parametrize("adjustment", ["1e400", str(10**400), "[0, 1e400]"], ids=["1e400", "10**400", "pair"])
+    def test_adjustment_beyond_float_range_is_rejected(self, adjustment):
+        text = '{"labor": {"category": "over_penalization", "adjustment": %s}}' % adjustment
+        with pytest.raises(SchemaError, match=r"annotations\['labor'\]\.adjustment(\[1\])?: expected a finite number"):
+            parse_annotations(text)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_literals_are_refused_with_their_position(self, literal):
+        text = '{"alpha": {"C": 0.25},\n "credibility": %s}' % literal
+        with pytest.raises(SchemaError, match=rf"^invalid JSON at line 2, column 17: {literal} is not a finite number$"):
+            parse_weight_config(text)
+
+    def test_literals_inside_strings_are_not_the_ones_placed(self):
+        text = json.dumps([{"record_id": 'NaN "Infinity"', "size": "NaN"}])[:-2] + ', "x": NaN}]'
+        with pytest.raises(SchemaError, match=rf"column {text.rindex('NaN') + 1}: NaN is not a finite number"):
+            parse_population(text, "population.json")
+
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", str(10**400)], ids=["1e400", "-1e400", "10**400"])
+    def test_weights_beyond_float_range_are_refused(self, equal_config, value):
+        document = json.loads(weight_config_to_json(equal_config))
+        text = json.dumps(document).replace('"IM": 0.25', f'"IM": {value}')
+        with pytest.raises(SchemaError, match=r"^credibility\.IM: expected a finite number within float range$"):
+            parse_weight_config(text)
+
+    def test_integers_are_refused_only_beyond_float_range(self, luxshare_manifest):
+        largest = 2**1024 - 2**970 - 1  # the largest integer float() converts
+        document = json.loads(manifest_to_json(luxshare_manifest))
+        document["safety"]["harmful_rows"] = largest
+        assert decode_manifest(json.dumps(document)).safety.harmful_rows == largest
+        document["safety"]["harmful_rows"] = largest + 1
+        with pytest.raises(SchemaError, match=r"^safety\.harmful_rows: expected a finite number"):
+            decode_manifest(json.dumps(document))
