@@ -5,6 +5,8 @@ run, validate a manifest, plot saturation curves, select representative
 samples, and diff two rating records.  Exit codes: 0 on success, 2 for
 schema or invariant problems in the inputs, 3 when a computation or
 store lookup cannot proceed.
+
+Each handler imports the modules it runs, so one call loads only those.
 """
 
 from __future__ import annotations
@@ -13,25 +15,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .delta import build_delta_report, emit_delta_report
 from .errors import ComputationError, SchemaError, StoreError
-from .io import (
-    manifest_violations,
-    parse_annotations,
-    parse_manifest,
-    parse_population,
-    parse_rating_record,
-    parse_weight_config,
-    report_to_json,
-)
-from .model import COMPONENT_METRICS, ComponentId, StrideReport, WeightConfig, equal_weight_config
-from .runstore import load_run, save_run, store_path_from_env
-from .sampling import saturation_curve, select_representative_sample
-from .scoring import component_breakdowns, score_dataset
 
-_COMPONENT_NAMES = {component: component.name.lower().replace("_", "-") for component in ComponentId}
+if TYPE_CHECKING:
+    from .model import StrideReport, WeightConfig
 
 
 def _read_text(path: str, label: str) -> str:
@@ -42,9 +31,11 @@ def _read_text(path: str, label: str) -> str:
 
 
 def _load_weights(argument: str) -> WeightConfig:
-    if argument.strip() == "equal":
-        return equal_weight_config()
-    return parse_weight_config(_read_text(argument, "weights"))
+    from .io import parse_weight_config
+
+    # The literal 'equal' names no file; parse_weight_config expands it.
+    text = argument if argument.strip() == "equal" else _read_text(argument, "weights")
+    return parse_weight_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +44,10 @@ def _load_weights(argument: str) -> WeightConfig:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .io import parse_manifest, report_to_json
+    from .runstore import save_run, store_path_from_env
+    from .scoring import score_dataset
+
     manifest = parse_manifest(_read_text(args.manifest, "manifest"))
     config = _load_weights(args.weights)
     report = score_dataset(manifest, config)
@@ -72,6 +67,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def format_explanation(report: StrideReport) -> str:
     """Plain-text walk from sub-scores through components to the trust value."""
+    from .model import COMPONENT_METRICS, ComponentId
+    from .scoring import component_breakdowns
+
     lines = [f"manifest digest: {report.manifest_digest}", ""]
     breakdowns = component_breakdowns(report)
     for index, component in enumerate(ComponentId):
@@ -79,7 +77,7 @@ def format_explanation(report: StrideReport) -> str:
         sign = "-" if component is ComponentId.SELF_SERVING else "+"
         coefficient = report.config_snapshot.alpha[index]
         lines.append(
-            f"{_COMPONENT_NAMES[component]} ({component.value}) = {breakdown.total:.4f}"
+            f"{component.name.lower().replace('_', '-')} ({component.value}) = {breakdown.total:.4f}"
             f"   [enters as {sign}{coefficient:g} * {component.value}]"
         )
         in_breakdown = {term.metric_id for term in breakdown.terms}
@@ -97,6 +95,8 @@ def format_explanation(report: StrideReport) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .runstore import load_run, store_path_from_env
+
     record = load_run(args.run, store_path_from_env())
     sys.stdout.write(f"run: {record.run_id}\n")
     sys.stdout.write(f"saved: {record.timestamp}\n")
@@ -105,6 +105,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .io import manifest_violations
+
     manifest, violations = manifest_violations(_read_text(args.manifest, "manifest"))
     if not violations:
         print(f"{manifest.dataset_id or args.manifest}: ok")
@@ -115,6 +117,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_curve(args: argparse.Namespace) -> int:
+    from .io import parse_population
+    from .sampling import saturation_curve
+
     population = parse_population(_read_text(args.population, "population"), args.population)
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
@@ -128,6 +133,9 @@ def _cmd_sample_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_select(args: argparse.Namespace) -> int:
+    from .io import parse_population
+    from .sampling import select_representative_sample
+
     population = parse_population(_read_text(args.population, "population"), args.population)
     if args.criteria:
         criteria = [part.strip() for part in args.criteria.split(",") if part.strip()]
@@ -153,6 +161,9 @@ def _cmd_sample_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
+    from .delta import build_delta_report, emit_delta_report
+    from .io import parse_annotations, parse_rating_record
+
     baseline = parse_rating_record(_read_text(args.baseline, "baseline rating"), "baseline")
     recomputed = parse_rating_record(_read_text(args.stride, "rating"), "stride")
     annotations = (

@@ -21,8 +21,10 @@ def _default(value: object) -> object:
 
 
 def canonical_json(value: object) -> str:
-    """Render ``value`` as canonical JSON text."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_default)
+    """Render ``value`` as canonical JSON text; NaN and the infinities raise ``ValueError``."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False, default=_default
+    )
 
 
 def content_digest(value: object) -> str:

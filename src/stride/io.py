@@ -10,20 +10,22 @@ Writers emit indented JSON whose floats round-trip exactly, so
 The manifest codec follows the :mod:`stride.model` dataclasses: its
 field names, nesting and types come from their fields, read once at
 import, so a manifest field is declared in one place only.
+
+The population, rating-record and annotation readers import
+:mod:`stride.sampling`, :mod:`stride.delta` and :mod:`csv` when called,
+so the manifest, weight and report codecs load none of them.
 """
 
 from __future__ import annotations
 
-import csv
 import io as _stdio
 import json
 import math
 import re
 from dataclasses import fields, is_dataclass
 from datetime import date
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
-from .delta import Annotation, DiscrepancyCategory, Interval, IssueScore, RatingRecord, validate_interval
 from .errors import SchemaError
 from .model import (
     COMPONENT_METRICS,
@@ -39,7 +41,10 @@ from .model import (
     validate_manifest,
     validate_weight_config,
 )
-from .sampling import PopulationRecord
+
+if TYPE_CHECKING:
+    from .delta import Annotation, Interval, RatingRecord
+    from .sampling import PopulationRecord
 
 # Weight groups as they appear in configuration documents.
 _WEIGHT_GROUPS = {component.name.lower(): members for component, members in COMPONENT_METRICS.items()}
@@ -50,12 +55,19 @@ _WEIGHT_GROUPS = {component.name.lower(): members for component, members in COMP
 # ---------------------------------------------------------------------------
 
 
-class _NonFiniteLiteral(Exception):
-    pass
+class _NonFiniteLiteral(ValueError):
+    """A JSON number that does not decode to a finite float."""
 
 
 def _refuse_constant(name: str) -> float:
-    raise _NonFiniteLiteral(name)
+    raise _NonFiniteLiteral(f"{name} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise _NonFiniteLiteral(f"{text} is out of float range")
+    return number
 
 
 def _load_json(text: str) -> object:
@@ -63,11 +75,11 @@ def _load_json(text: str) -> object:
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         error = exc
-    except _NonFiniteLiteral:
+    except _NonFiniteLiteral as exc:
         # The parser does not say where.  Strings skipped, the first literal is the one it met.
         tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', text)
         literal = next(m for m in tokens if m.group(1))
-        error = json.JSONDecodeError(f"{literal.group(1)} is not a finite number", text, literal.start())
+        error = json.JSONDecodeError(str(exc), text, literal.start())
     raise SchemaError(f"invalid JSON at line {error.lineno}, column {error.colno}: {error.msg}")
 
 
@@ -236,7 +248,7 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
-    return json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n"
+    return json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def manifest_violations(text: str) -> tuple[DatasetManifest, list[Violation]]:
@@ -311,7 +323,7 @@ def weight_config_to_dict(config: WeightConfig) -> dict:
 
 
 def weight_config_to_json(config: WeightConfig) -> str:
-    return json.dumps(weight_config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(weight_config_to_dict(config), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +351,7 @@ def report_to_dict(report: StrideReport) -> dict:
 
 
 def report_to_json(report: StrideReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_from_dict(document: dict, path: str = "report") -> StrideReport:
@@ -429,6 +441,8 @@ def _coerce_csv_cell(text: str) -> object:
 
 
 def _population_from_json(text: str) -> list[PopulationRecord]:
+    from .sampling import PopulationRecord
+
     loaded = _load_json(text)
     entries = _as_list(loaded, "population")
     records = []
@@ -452,6 +466,10 @@ def _population_from_json(text: str) -> list[PopulationRecord]:
 
 
 def _population_from_csv(text: str) -> list[PopulationRecord]:
+    import csv
+
+    from .sampling import PopulationRecord
+
     reader = csv.DictReader(_stdio.StringIO(text))
     if reader.fieldnames is None or "record_id" not in reader.fieldnames:
         raise SchemaError("population: CSV must have a record_id column")
@@ -495,6 +513,8 @@ def parse_population(text: str, source_name: str = "") -> list[PopulationRecord]
 
 
 def parse_rating_record(text: str, label: str = "rating") -> RatingRecord:
+    from .delta import IssueScore, RatingRecord
+
     root = dict(_obj(_load_json(text), label))
     issues_obj = dict(_obj(_take(root, "issue_scores", label), f"{label}.issue_scores"))
     issue_scores = {}
@@ -520,6 +540,8 @@ def parse_rating_record(text: str, label: str = "rating") -> RatingRecord:
 
 
 def _as_interval(value: object, path: str) -> Interval:
+    from .delta import Interval, validate_interval
+
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         point = _as_float(value, path)
         return Interval(point, point)
@@ -532,6 +554,8 @@ def _as_interval(value: object, path: str) -> Interval:
 
 def parse_annotations(text: str) -> dict[str, Annotation]:
     """Parse an issue-key-to-annotation map."""
+    from .delta import Annotation, DiscrepancyCategory
+
     root = _obj(_load_json(text), "annotations")
     categories = {category.value: category for category in DiscrepancyCategory}
     annotations = {}

@@ -15,6 +15,7 @@ reported field by field; :func:`validate_manifest` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -286,11 +287,15 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
             raise SchemaError(f"weights: missing entry for {metric.value}")
         if metric not in config.applicability:
             raise SchemaError(f"applicability: missing entry for {metric.value}")
+        if not math.isfinite(config.weights[metric]):
+            raise SchemaError(f"weights.{metric.value}: must be a finite number, got {config.weights[metric]!r}")
         if config.weights[metric] < 0:
             raise SchemaError(f"weights.{metric.value}: negative weight {config.weights[metric]!r}")
     if len(config.alpha) != 4:
         raise SchemaError("alpha: expected exactly four coefficients")
     for component, coefficient in zip(ComponentId, config.alpha):
+        if not math.isfinite(coefficient):
+            raise SchemaError(f"alpha.{component.value}: must be a finite number, got {coefficient!r}")
         if coefficient < 0:
             raise SchemaError(f"alpha.{component.value}: negative coefficient {coefficient!r}")
 
@@ -328,7 +333,9 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
 
     Returns an empty list for a well-formed manifest.  Violations are
     reported as data rather than raised, so callers can surface all of
-    them at once.
+    them at once.  A NaN or an infinity in a float field is reported as
+    not finite in place of that field's range checks.  The integer
+    fields' range predicates are written so that NaN fails them too.
     """
     found: list[Violation] = []
 
@@ -344,24 +351,21 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
 
     for index, item in enumerate(manifest.evidence):
         prefix = f"evidence[{index}]"
-        if not 0 <= item.auditability <= 1:
-            flag(f"{prefix}.auditability", f"must be in [0, 1], got {item.auditability!r}")
-        if not 0 <= item.traceability <= 1:
-            flag(f"{prefix}.traceability", f"must be in [0, 1], got {item.traceability!r}")
+        for name, value in (("auditability", item.auditability), ("traceability", item.traceability)):
+            if _finite(f"{prefix}.{name}", value, flag) and not 0 <= value <= 1:
+                flag(f"{prefix}.{name}", f"must be in [0, 1], got {value!r}")
 
     rec = manifest.recognition
-    if rec.recognitions_per_year < 0:
+    if not rec.recognitions_per_year >= 0:
         flag("recognition.recognitions_per_year", "must be non-negative")
-    if not 0 < rec.single_event_confidence < 1:
-        flag(
-            "recognition.single_event_confidence",
-            f"must be strictly between 0 and 1, got {rec.single_event_confidence!r}",
-        )
+    confidence_path = "recognition.single_event_confidence"
+    if _finite(confidence_path, rec.single_event_confidence, flag) and not 0 < rec.single_event_confidence < 1:
+        flag(confidence_path, f"must be strictly between 0 and 1, got {rec.single_event_confidence!r}")
 
     temporal = manifest.temporal
-    if temporal.lag_years < 0:
+    if _finite("temporal.lag_years", temporal.lag_years, flag) and temporal.lag_years < 0:
         flag("temporal.lag_years", "must be non-negative")
-    if temporal.decay_rate <= 0:
+    if _finite("temporal.decay_rate", temporal.decay_rate, flag) and temporal.decay_rate <= 0:
         flag("temporal.decay_rate", "must be positive")
 
     if manifest.annotation is not None:
@@ -370,9 +374,9 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
         _check_agility(manifest.agility, flag)
 
     safety = manifest.safety
-    if safety.total_rows <= 0:
+    if not safety.total_rows > 0:
         flag("safety.total_rows", "must be positive")
-    if safety.harmful_rows < 0:
+    if not safety.harmful_rows >= 0:
         flag("safety.harmful_rows", "must be non-negative")
     elif safety.total_rows > 0 and safety.harmful_rows > safety.total_rows:
         flag("safety.harmful_rows", "cannot exceed total_rows")
@@ -381,14 +385,22 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
 
     if manifest.sampling_inputs is not None:
         si = manifest.sampling_inputs
-        if si.sample_size < 0:
+        if not si.sample_size >= 0:
             flag("sampling_inputs.sample_size", "must be non-negative")
-        if si.saturation_threshold < 1:
+        if not si.saturation_threshold >= 1:
             flag("sampling_inputs.saturation_threshold", "must be at least 1")
-        if si.share_deviation < 0:
+        if _finite("sampling_inputs.share_deviation", si.share_deviation, flag) and si.share_deviation < 0:
             flag("sampling_inputs.share_deviation", "must be non-negative")
 
     return found
+
+
+def _finite(path: str, value: float, flag) -> bool:
+    """Flag ``value`` at ``path`` unless it is a finite number; returns whether it is."""
+    if math.isfinite(value):
+        return True
+    flag(path, f"must be a finite number, got {value!r}")
+    return False
 
 
 def _check_coverage(coverage: CoverageProfile, flag) -> None:
@@ -397,9 +409,9 @@ def _check_coverage(coverage: CoverageProfile, flag) -> None:
         ("industries", coverage.industries_covered, coverage.industries_total),
     )
     for name, covered, total in pairs:
-        if total <= 0:
+        if not total > 0:
             flag(f"coverage.{name}_total", "must be positive")
-        if covered < 0:
+        if not covered >= 0:
             flag(f"coverage.{name}_covered", "must be non-negative")
         elif total > 0 and covered > total:
             flag(f"coverage.{name}_covered", f"cannot exceed {name}_total")
@@ -415,22 +427,23 @@ def _check_coverage(coverage: CoverageProfile, flag) -> None:
 
 
 def _check_annotation(stats: AnnotationStats, flag) -> None:
-    if not 0 <= stats.human_fraction <= 1:
+    if _finite("annotation.human_fraction", stats.human_fraction, flag) and not 0 <= stats.human_fraction <= 1:
         flag("annotation.human_fraction", f"must be in [0, 1], got {stats.human_fraction!r}")
-    if stats.mean_tenure_years < 0:
+    if _finite("annotation.mean_tenure_years", stats.mean_tenure_years, flag) and stats.mean_tenure_years < 0:
         flag("annotation.mean_tenure_years", "must be non-negative")
-    if stats.tenure_cap_years <= 0:
+    if _finite("annotation.tenure_cap_years", stats.tenure_cap_years, flag) and stats.tenure_cap_years <= 0:
         flag("annotation.tenure_cap_years", "must be positive")
-    if stats.human_machine_deviation < 0:
-        flag("annotation.human_machine_deviation", "must be non-negative")
-    if stats.machine_machine_deviation < 0:
-        flag("annotation.machine_machine_deviation", "must be non-negative")
+    for name in ("human_machine_deviation", "machine_machine_deviation"):
+        value = getattr(stats, name)
+        if _finite(f"annotation.{name}", value, flag) and value < 0:
+            flag(f"annotation.{name}", "must be non-negative")
 
 
 def _check_agility(stats: AgilityStats, flag) -> None:
-    if not 0 <= stats.change_proportion <= 1:
+    _finite("agility.accuracy_gain", stats.accuracy_gain, flag)
+    if _finite("agility.change_proportion", stats.change_proportion, flag) and not 0 <= stats.change_proportion <= 1:
         flag("agility.change_proportion", f"must be in [0, 1], got {stats.change_proportion!r}")
-    if stats.epsilon <= 0:
+    if _finite("agility.epsilon", stats.epsilon, flag) and stats.epsilon <= 0:
         flag("agility.epsilon", "must be positive")
 
 
@@ -443,12 +456,13 @@ def _check_governance(stats: GovernanceStats, flag) -> None:
         ("role_relations_separated", stats.role_relations_separated, "role_relations_total", stats.role_relations_total),
     )
     for name, value, bound_name, bound in bounded:
-        if value < 0:
+        if not value >= 0:
             flag(f"governance.{name}", "must be non-negative")
-        if bound < 0:
+        if not bound >= 0:
             flag(f"governance.{bound_name}", "must be non-negative")
         if value >= 0 and bound >= 0 and value > bound:
             flag(f"governance.{name}", f"cannot exceed {bound_name}")
     for index, accuracy in enumerate(stats.accuracy_series):
-        if not 0 <= accuracy <= 1:
-            flag(f"governance.accuracy_series[{index}]", f"must be in [0, 1], got {accuracy!r}")
+        path = f"governance.accuracy_series[{index}]"
+        if _finite(path, accuracy, flag) and not 0 <= accuracy <= 1:
+            flag(path, f"must be in [0, 1], got {accuracy!r}")

@@ -9,7 +9,11 @@ its id is reported as corrupt rather than silently served.
 A record is canonical JSON (sorted keys, no insignificant whitespace,
 UTF-8) followed by a newline.  Records written in the older indented
 form still load, since loading parses the JSON rather than comparing
-bytes.  Filesystem errors while saving raise :class:`StoreError`.
+bytes.  Filesystem errors while saving raise :class:`StoreError`, and
+so does a report holding NaN or an infinity, before anything is written.
+A record that cannot be read or decoded, including one holding NaN, an
+infinity or a number beyond float range, is a store fault too: loading
+it raises :class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .digests import canonical_json, content_digest
-from .errors import StoreError
-from .io import report_from_dict, report_to_dict
+from .errors import SchemaError, StoreError
+from .io import _finite_float, _refuse_constant, report_from_dict, report_to_dict
 from .model import StrideReport
 
 DEFAULT_STORE_ENV = "STRIDE_STORE"
@@ -48,8 +52,19 @@ def store_path_from_env(environ: dict | None = None) -> Path:
 
 
 def run_id_for(report: StrideReport) -> str:
-    """Content hash identifying a report; stable across identical inputs."""
-    return content_digest(report_to_dict(report))
+    """Content hash identifying a report; stable across identical inputs.
+
+    A report holding NaN or an infinity has no canonical JSON, so it has
+    no id: that raises :class:`StoreError`.
+    """
+    return _run_id(report_to_dict(report))
+
+
+def _run_id(report_dict: dict) -> str:
+    try:
+        return content_digest(report_dict)
+    except ValueError as exc:  # canonical JSON refuses NaN and the infinities
+        raise StoreError(f"report has no run id: {exc}") from None
 
 
 def _record_path(store: Path, run_id: str) -> Path:
@@ -66,7 +81,7 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     """
     store = Path(store_path)
     report_dict = report_to_dict(report)
-    run_id = content_digest(report_dict)
+    run_id = _run_id(report_dict)
     target = _record_path(store, run_id)
     try:
         store.mkdir(parents=True, exist_ok=True)
@@ -108,8 +123,8 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
 def _read_record(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(handle, parse_constant=_refuse_constant, parse_float=_finite_float)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
         raise StoreError(f"cannot read run record {path.name}: {exc}") from None
     if not isinstance(raw, dict):
         raise StoreError(f"cannot read run record {path.name}: not a JSON object")
@@ -147,7 +162,10 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
         raise StoreError(f"run {full_id}: record carries mismatched id {raw['run_id']!r}")
     if content_digest(raw["report"]) != full_id:
         raise StoreError(f"run {full_id}: stored report does not match its id")
-    report = report_from_dict(raw["report"])
+    try:
+        report = report_from_dict(raw["report"])
+    except SchemaError as exc:
+        raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
     return RunRecord(
         run_id=raw["run_id"],
         timestamp=raw["timestamp"],

@@ -189,6 +189,20 @@ class TestExplain:
         assert exit_code == 3
         assert "no run matches" in captured.err
 
+    @pytest.mark.parametrize(
+        ("literal", "reason"), [("NaN", "NaN is not a finite number"), ("1e400", "1e400 is out of float range")]
+    )
+    def test_record_holding_a_non_finite_number_exits_3(self, store, manifest_file, capsys, literal, reason):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        path.write_text(path.read_text().replace('"trust":', f'"trust":{literal},"was":'))
+        exit_code = main(["explain", "--run", run_id])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read run record {run_id}.json: {reason}\n"
+
 
 class TestValidate:
     def test_clean_manifest_reports_ok(self, manifest_file, capsys):

@@ -13,12 +13,17 @@ emptied.  Dropping and nulling cover absent and null optional sections,
 and a left-out ``agility.epsilon``.  Every mutant that decodes is scored,
 saved and loaded again; only ``SchemaError``, ``ComputationError`` and
 ``StoreError`` may escape, and a saved run must load back equal.
+
+Every number field also takes each extreme finite value (``±1e308``,
+``10**308``, ``5e-324``); a mutant that decodes and scores must give
+finite trust, component and sub-score values and reload equal.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 import re
 
@@ -179,6 +184,29 @@ def test_numbers_beyond_float_range_name_the_field(name, number):
             reason = "expected a finite number within float range"
         with pytest.raises(SchemaError, match=f"^{re.escape(_dotted(trail))}: {reason}$"):
             decode_manifest(_poisoned(document, trail, number)[0])
+
+
+@pytest.mark.parametrize("name", POISON_DOCUMENTS)
+@pytest.mark.parametrize(
+    "number", ["1e308", "-1e308", str(10**308), "5e-324"], ids=["1e308", "-1e308", "10**308", "5e-324"]
+)
+def test_extreme_finite_numbers_score_finite_and_reload(name, number, tmp_path):
+    document = _document(name)
+    scored = 0
+    for trail in _numeric_trails(document):
+        manifest = _decode_like_the_oracle(_poisoned(document, trail, number)[0])
+        if manifest is None:
+            continue
+        try:
+            report = score_dataset(manifest, equal_weight_config())
+        except (SchemaError, ComputationError):
+            continue
+        scored += 1
+        values = [report.trust, *report.component_scores.values()]
+        values += [sub.value for sub in report.sub_scores if sub.value is not None]
+        assert all(math.isfinite(value) for value in values), _dotted(trail)
+        assert load_run(save_run(report, tmp_path), tmp_path).report == report
+    assert scored > 0
 
 
 def test_poison_documents_hold_every_number_field():

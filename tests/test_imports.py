@@ -1,0 +1,148 @@
+"""Each ``stride`` command loads only the modules it runs.
+
+The package exports its public names lazily, so ``import stride`` loads
+no submodule, and each CLI handler imports what it uses.  The module
+sets are checked in a fresh interpreter per command, since this test
+process has long since imported everything.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stride
+from stride.cli import main
+from stride.fixtures import fixture_text
+
+SRC = str(Path(stride.__file__).resolve().parent.parent)
+
+# The names the package exported when it imported every submodule eagerly.
+EXPORTS = {
+    "delta": (
+        "Annotation DeltaReport DiscrepancyCategory DiscrepancyItem Interval IssueScore RatingDiff"
+        " RatingRecord attach_classification build_delta_report diff_ratings emit_delta_report net_adjustment"
+    ),
+    "errors": "ComputationError SchemaError StoreError StrideError",
+    "model": (
+        "SPEC_VERSION AgilityStats AnnotationStats ComponentId CoverageProfile DatasetManifest EvidenceItem"
+        " GovernanceStats MetricId RecognitionProfile SafetyAudit SamplingInputs StrideReport SubScore"
+        " TemporalProfile Violation WeightConfig equal_weight_config validate_manifest validate_weight_config"
+    ),
+    "runstore": "RunRecord load_run run_id_for save_run",
+    "sampling": (
+        "Distribution PopulationRecord SaturationPoint SelectionResult aggregate_divergence"
+        " categorical_distribution js_divergence representativeness_sigma saturation_curve"
+        " select_representative_sample"
+    ),
+    "scoring": "ComponentBreakdown ComponentTerm component_score score_dataset sigmoid trust_score",
+}
+SUBMODULES = ("delta", "digests", "errors", "io", "model", "runstore", "sampling", "scoring")
+
+VALIDATE = {"stride.errors", "stride.io", "stride.model"}
+SCORE = VALIDATE | {"stride.scoring", "stride.digests", "stride.runstore"}
+
+_PROBE = """
+import contextlib, io, json, sys
+import stride.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = stride.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.split(".")[0] == "stride")]))
+"""
+
+
+def _fresh(code: str, *argv: str, store: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": SRC, "STRIDE_STORE": str(store)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    return done.stdout
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    for name in ("luxshare_manifest", "luxshare_baseline_rating", "luxshare_recomputed_rating", "luxshare_annotations"):
+        (tmp_path / f"{name}.json").write_text(fixture_text(f"{name}.json"), encoding="utf-8")
+    records = [{"record_id": f"r{i:03d}", "region": "apac" if i % 3 else "emea", "size": i} for i in range(40)]
+    (tmp_path / "population.json").write_text(json.dumps(records), encoding="utf-8")
+    (tmp_path / "population.csv").write_text(
+        "record_id,region\n" + "".join(f"r{i},{'apac' if i % 3 else 'emea'}\n" for i in range(40)), encoding="utf-8"
+    )
+    return tmp_path
+
+
+def _commands(inputs: Path, run_id: str) -> list:
+    manifest = str(inputs / "luxshare_manifest.json")
+    delta = ["delta", "--baseline", str(inputs / "luxshare_baseline_rating.json")]
+    delta += ["--stride", str(inputs / "luxshare_recomputed_rating.json")]
+    curve = ["sample", "curve", "--population", str(inputs / "population.json"), "--criterion", "region"]
+    select = ["sample", "select", "--population", str(inputs / "population.csv"), "--k", "5", "--seed", "3"]
+    return [
+        (["validate", "--manifest", manifest], VALIDATE),
+        (["score", "--manifest", manifest, "--weights", "equal"], SCORE),
+        (["explain", "--run", run_id[:12]], SCORE),
+        (delta + ["--annotations", str(inputs / "luxshare_annotations.json")], VALIDATE | {"stride.delta"}),
+        (delta + ["--format", "markdown"], VALIDATE | {"stride.delta"}),
+        (curve + ["--sizes", "5,10", "--seed", "1"], VALIDATE | {"stride.sampling"}),
+        (select, VALIDATE | {"stride.sampling"}),
+    ]
+
+
+def test_each_subcommand_loads_only_its_modules(inputs, tmp_path, monkeypatch, capsys):
+    store = tmp_path / "runs"
+    monkeypatch.setenv("STRIDE_STORE", str(store))
+    assert main(["score", "--manifest", str(inputs / "luxshare_manifest.json"), "--weights", "equal"]) == 0
+    run_id = capsys.readouterr().err.split()[-1]
+    for argv, expected in _commands(inputs, run_id):
+        code, loaded = json.loads(_fresh(_PROBE, *argv, store=store))
+        assert code == 0, argv
+        assert set(loaded) == {"stride", "stride.cli"} | expected, argv
+
+
+def test_bare_import_loads_no_submodule_yet_exposes_each(tmp_path):
+    probe = (
+        "import json, sys, stride\n"
+        "before = sorted(name for name in sys.modules if name.startswith('stride.'))\n"
+        f"found = [getattr(stride, name) is sys.modules['stride.' + name] for name in {SUBMODULES!r}]\n"
+        "print(json.dumps([before, found, stride.__version__]))\n"
+    )
+    before, found, version = json.loads(_fresh(probe, store=tmp_path))
+    assert before == []
+    assert all(found)
+    assert version == "0.1.0"
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    names = [name for module, listed in EXPORTS.items() for name in listed.split()]
+    assert len(names) == 57
+    assert sorted(stride.__all__) == sorted([*names, *SUBMODULES])
+    for module_name, listed in EXPORTS.items():
+        module = importlib.import_module(f"stride.{module_name}")
+        for name in listed.split():
+            assert getattr(stride, name) is getattr(module, name), name
+    for name in SUBMODULES:
+        assert getattr(stride, name) is importlib.import_module(f"stride.{name}")
+    assert {*names, *SUBMODULES, "__version__"} <= set(dir(stride))
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        stride.missing
+
+
+def test_star_import_binds_every_name_and_submodule(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "namespace = {}\n"
+        "exec('from stride import *', namespace)\n"
+        "bound = sorted(name for name in namespace if name != '__builtins__')\n"
+        f"modules = [namespace[name] is sys.modules['stride.' + name] for name in {SUBMODULES!r}]\n"
+        "print(json.dumps([bound, modules]))\n"
+    )
+    bound, modules = json.loads(_fresh(probe, store=tmp_path))
+    names = [name for listed in EXPORTS.values() for name in listed.split()]
+    assert bound == sorted([*names, *SUBMODULES])
+    assert all(modules)

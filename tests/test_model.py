@@ -19,6 +19,7 @@ from stride.model import (
     validate_manifest,
     validate_weight_config,
 )
+from stride.scoring import score_dataset
 
 IM = MetricId.INCLUSIVENESS_MATERIALITY
 AT = MetricId.AUDITABILITY_TRACEABILITY
@@ -77,6 +78,13 @@ class TestWeightConfigValidation:
     def test_negative_alpha_rejected(self):
         with pytest.raises(SchemaError, match="negative coefficient"):
             validate_weight_config(_config(alpha=(0.25, -0.25, 0.25, 0.25)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_or_alpha_rejected(self, value):
+        with pytest.raises(SchemaError, match=rf"^weights\.ER: must be a finite number, got {value!r}$"):
+            validate_weight_config(_config(weights={ER: value}))
+        with pytest.raises(SchemaError, match=rf"^alpha\.R: must be a finite number, got {value!r}$"):
+            validate_weight_config(_config(alpha=(0.25, value, 0.25, 0.25)))
 
     def test_component_with_no_applicable_metric_rejected(self):
         with pytest.raises(SchemaError, match="no applicable metric"):
@@ -202,3 +210,56 @@ class TestManifestValidation:
         manifest = dataclasses.replace(luxshare_manifest, temporal=temporal)
         rendered = [str(v) for v in validate_manifest(manifest)]
         assert "temporal.decay_rate: must be positive" in rendered
+
+
+def _float_trails(node, trail=()):
+    """The attribute trail to every float inside the dataclass ``node``."""
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for index, item in items:
+            at = trail + ((field.name,) if index is None else (field.name, index))
+            if isinstance(item, float):
+                yield at
+            elif dataclasses.is_dataclass(item):
+                yield from _float_trails(item, at)
+
+
+def _replaced(node, trail, value):
+    name, rest = trail[0], trail[1:]
+    current = getattr(node, name)
+    if rest and isinstance(rest[0], int):
+        items = list(current)
+        items[rest[0]] = _replaced(items[rest[0]], rest[1:], value) if rest[1:] else value
+        return dataclasses.replace(node, **{name: tuple(items)})
+    return dataclasses.replace(node, **{name: _replaced(current, rest, value) if rest else value})
+
+
+class TestNonFiniteManifestValues:
+    # Seed 10 has every optional section, evidence and an accuracy series.
+    MANIFEST = random_manifest(random.Random(10))
+
+    def test_every_float_field_is_covered(self):
+        paths = {tuple(key for key in trail if isinstance(key, str)) for trail in _float_trails(self.MANIFEST)}
+        assert len(paths) == 15
+        assert ("governance", "accuracy_series") in paths
+        assert ("evidence", "traceability") in paths
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_each_is_reported_once_by_its_path(self, value):
+        assert validate_manifest(self.MANIFEST) == []
+        for trail in _float_trails(self.MANIFEST):
+            path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in trail).lstrip(".")
+            violations = validate_manifest(_replaced(self.MANIFEST, trail, value))
+            assert [str(v) for v in violations] == [f"{path}: must be a finite number, got {value!r}"]
+
+    def test_scoring_refuses_a_non_finite_manifest(self):
+        temporal = dataclasses.replace(self.MANIFEST.temporal, decay_rate=float("nan"))
+        manifest = dataclasses.replace(self.MANIFEST, temporal=temporal)
+        with pytest.raises(SchemaError, match="temporal.decay_rate: must be a finite number, got nan"):
+            score_dataset(manifest, equal_weight_config())
+
+    def test_finite_values_keep_their_messages(self, luxshare_manifest):
+        temporal = dataclasses.replace(luxshare_manifest.temporal, lag_years=-0.5, decay_rate=-1.0)
+        rendered = [str(v) for v in validate_manifest(dataclasses.replace(luxshare_manifest, temporal=temporal))]
+        assert rendered == ["temporal.lag_years: must be non-negative", "temporal.decay_rate: must be positive"]

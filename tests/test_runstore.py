@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -206,3 +207,62 @@ class TestStoreErrors:
         with pytest.raises(StoreError, match="cannot write run record"):
             save_run(report, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteRecords:
+    def _write_record(self, path, report_dict, run_id):
+        record = {"run_id": run_id, "timestamp": "t", "manifest_digest": "m", "config_digest": "c", "report": report_dict}
+        path.write_text(json.dumps(record, sort_keys=True))
+
+    def test_report_holding_nan_is_refused_before_anything_is_written(self, report, tmp_path):
+        store = tmp_path / "runs"
+        for value in (float("nan"), float("inf")):
+            non_finite = dataclasses.replace(report, trust=value)
+            with pytest.raises(StoreError, match="^report has no run id: Out of range float values"):
+                save_run(non_finite, store)
+            with pytest.raises(StoreError, match="^report has no run id: Out of range float values"):
+                run_id_for(non_finite)
+        assert not store.exists()
+
+    def test_record_holding_nan_is_a_store_error(self, report, tmp_path):
+        # A record as an encoder that allows NaN would write it, id included.
+        report_dict = report_to_dict(report)
+        report_dict["trust"] = float("nan")
+        run_id = hashlib.sha256(
+            json.dumps(report_dict, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        self._write_record(tmp_path / f"{run_id}.json", report_dict, run_id)
+        with pytest.raises(StoreError, match="^cannot read run record .*: NaN is not a finite number$"):
+            load_run(run_id, tmp_path)
+
+    @pytest.mark.parametrize(
+        ("literal", "reason"),
+        [
+            ("Infinity", "Infinity is not a finite number"),
+            ("1e400", "1e400 is out of float range"),
+            ("-1e999", "-1e999 is out of float range"),
+        ],
+    )
+    def test_existing_record_holding_a_non_finite_number_is_a_store_error(self, report, tmp_path, literal, reason):
+        run_id = save_run(report, tmp_path)
+        path = tmp_path / f"{run_id}.json"
+        path.write_text(path.read_text().replace('"trust":', f'"trust":{literal},"was":'))
+        message = f"^cannot read run record {run_id}.json: {reason}$"
+        with pytest.raises(StoreError, match=message):
+            load_run(run_id, tmp_path)
+        with pytest.raises(StoreError, match=message):
+            save_run(report, tmp_path)
+
+    def test_malformed_report_under_its_own_id_is_a_store_error(self, report, tmp_path):
+        report_dict = report_to_dict(report)
+        report_dict["trust"] = "high"
+        run_id = content_digest(report_dict)
+        self._write_record(tmp_path / f"{run_id}.json", report_dict, run_id)
+        with pytest.raises(StoreError, match=f"^run {run_id}: stored report is malformed: report.trust: "):
+            load_run(run_id, tmp_path)
+
+    def test_record_that_is_not_utf8_is_a_store_error(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        (tmp_path / f"{run_id}.json").write_bytes(b'{"run_id": "\xff"}')
+        with pytest.raises(StoreError, match="cannot read run record"):
+            load_run(run_id, tmp_path)
