@@ -11,12 +11,13 @@ mismatches are reported as found.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import SchemaError
+from .errors import ComputationError, SchemaError
 from .model import SPEC_VERSION
 
 
@@ -137,7 +138,10 @@ def _validate_record(record: RatingRecord, label: str) -> None:
 
 
 def diff_ratings(baseline: RatingRecord, stride: RatingRecord) -> tuple[RatingDiff, ...]:
-    """One diff per issue key present in either record, ordered by key."""
+    """One diff per issue key present in either record, ordered by key.
+
+    Raises :class:`ComputationError` when a delta overflows float range.
+    """
     _validate_record(baseline, "baseline")
     _validate_record(stride, "stride")
     diffs = []
@@ -150,6 +154,10 @@ def diff_ratings(baseline: RatingRecord, stride: RatingRecord) -> tuple[RatingDi
             and (base.scale_min != ours.scale_min or base.scale_max != ours.scale_max)
         )
         delta = ours.score - base.score if base is not None and ours is not None else None
+        if delta is not None and not math.isfinite(delta):
+            raise ComputationError(
+                f"issue {key!r}: recomputed {ours.score!r} minus baseline {base.score!r} is beyond float range"
+            )
         diffs.append(
             RatingDiff(
                 issue_key=key,
@@ -219,10 +227,15 @@ def attach_classification(
 
 
 def net_adjustment(items: Sequence[DiscrepancyItem]) -> Interval:
-    """Endpoint-wise sum of item adjustments; [0, 0] for no items."""
+    """Endpoint-wise sum of item adjustments; [0, 0] for no items.
+
+    Raises :class:`ComputationError` when the sum overflows float range.
+    """
     total = ZERO_INTERVAL
     for item in items:
         total = total + item.adjustment
+    if not (math.isfinite(total.lower) and math.isfinite(total.upper)):
+        raise ComputationError("net adjustment is beyond float range")
     return total
 
 
@@ -293,7 +306,7 @@ def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
             "net_adjustment": {"lower": net.lower, "upper": net.upper},
             "notes": report.notes,
         }
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if format == "markdown":
         return _markdown_report(report)
     raise SchemaError(f"unknown report format {format!r}")

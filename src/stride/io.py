@@ -9,7 +9,10 @@ Writers emit indented JSON whose floats round-trip exactly, so
 
 The manifest codec follows the :mod:`stride.model` dataclasses: its
 field names, nesting and types come from their fields, read once at
-import, so a manifest field is declared in one place only.
+import, and so does which fields a document may leave out, so a manifest
+field is declared in one place only.  Its range rules are declared on
+the same fields and checked by :func:`stride.model.validate_manifest`,
+which :func:`parse_manifest` and :func:`manifest_violations` call.
 
 The population, rating-record and annotation readers import
 :mod:`stride.sampling`, :mod:`stride.delta` and :mod:`csv` when called,
@@ -22,9 +25,9 @@ import io as _stdio
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from datetime import date
-from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
 from .errors import SchemaError
 from .model import (
@@ -37,6 +40,7 @@ from .model import (
     SubScore,
     Violation,
     WeightConfig,
+    _field_plan,
     equal_weight_config,
     validate_manifest,
     validate_weight_config,
@@ -80,6 +84,8 @@ def _load_json(text: str) -> object:
         tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', text)
         literal = next(m for m in tokens if m.group(1))
         error = json.JSONDecodeError(str(exc), text, literal.start())
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     raise SchemaError(f"invalid JSON at line {error.lineno}, column {error.colno}: {error.msg}")
 
 
@@ -155,10 +161,9 @@ def _as_date(value: object, path: str) -> date:
 
 # The manifest codec follows the ``model`` dataclasses.  Each class gets
 # one table, built at import, of (field name, decoder, encoder, nullable,
-# may be absent).  ``X | None`` fields are absent-or-null; a field named
-# in _OMITTABLE may be left out and takes its dataclass default; every
-# other field is required, defaulted or not.
-_OMITTABLE = frozenset({"epsilon"})
+# may be absent).  ``X | None`` fields are absent-or-null; a field whose
+# metadata marks it omittable may be left out and takes its dataclass
+# default; every other field is required, defaulted or not.
 _PRIMITIVES = {str: _as_str, int: _as_int, float: _as_float}
 _CODECS: dict[type, list[tuple[str, Callable, Callable | None, bool, bool]]] = {}
 
@@ -187,15 +192,10 @@ def _field_codec(tp: object) -> tuple[Callable, Callable | None]:
 
 
 def _build_codec(cls: type) -> None:
-    hints = get_type_hints(cls)
     table, arrays = [], []
-    for field in fields(cls):
-        tp = hints[field.name]
-        nullable = type(None) in get_args(tp)
-        if nullable:
-            tp = get_args(tp)[0]
+    for field, tp, nullable in _field_plan(cls)[0]:
         decode, encode = _field_codec(tp)
-        entry = (field.name, decode, encode, nullable, nullable or field.name in _OMITTABLE)
+        entry = (field.name, decode, encode, nullable, nullable or field.metadata.get("omittable", False))
         (arrays if get_origin(tp) else table).append(entry)
     # Array fields are read first: of several missing fields, the first array is reported.
     _CODECS[cls] = arrays + table

@@ -10,15 +10,18 @@ arithmetic itself lives in :mod:`stride.scoring`.
 Types are plain frozen containers.  Nothing validates on construction,
 so documents with out-of-range values can still be represented and then
 reported field by field; :func:`validate_manifest` and
-:func:`validate_weight_config` are the gatekeepers.
+:func:`validate_weight_config` are the gatekeepers.  Each manifest
+field's admissible range is declared in that field's metadata, and
+:func:`validate_manifest` walks the fields and checks what they declare.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Mapping
+from functools import cache
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError
 
@@ -86,19 +89,46 @@ STANDARD_LAYER_COUNT = 5
 # ---------------------------------------------------------------------------
 # Manifest sections
 # ---------------------------------------------------------------------------
+#
+# Each single-field rule is declared on its field.  A rule is a pair
+# (test, describe): the value passes when ``test(value)`` is true, and
+# otherwise ``describe(value)`` is the violation message.  A float is
+# first checked to be finite, and a tuple's rule applies to each item.
+# ``at_most`` names a sibling field that the value may not exceed, checked
+# once both have passed their own rules.
+
+
+_NON_EMPTY = (bool, "must be non-empty".format)
+# Written as ``value >= 0`` and the like, so that NaN fails them.
+_NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative".format)
+_POSITIVE = (lambda value: value > 0, "must be positive".format)
+_AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1".format)
+_UNIT = (lambda value: 0 <= value <= 1, "must be in [0, 1], got {!r}".format)
+_OPEN_UNIT = (lambda value: 0 < value < 1, "must be strictly between 0 and 1, got {!r}".format)
+_FLAG = (lambda value: value in (0, 1), "must be 0 or 1, got {!r}".format)
+_LAYER_COUNT = (lambda value: value == STANDARD_LAYER_COUNT, f"must be {STANDARD_LAYER_COUNT}".format)
+_KNOWN_LAYERS = (
+    STANDARD_LAYERS.issuperset,
+    lambda layers: f"unknown layers: {sorted(set(layers) - STANDARD_LAYERS)}",
+)
+
+
+def _ruled(rule: tuple, default: Any = MISSING, *, at_most: str | None = None, omittable: bool = False) -> Any:
+    """A field governed by ``rule``; an ``omittable`` field may be left out of a document."""
+    return field(default=default, metadata={"rule": rule, "at_most": at_most, "omittable": omittable})
 
 
 @dataclass(frozen=True)
 class CoverageProfile:
     """Breadth of the dataset across countries, industries, and standard layers."""
 
-    countries_covered: int
-    countries_total: int
-    industries_covered: int
-    industries_total: int
-    standard_layers_covered: frozenset[str]
-    standard_layers_total: int = STANDARD_LAYER_COUNT
-    external_data_flag: int = 0  # 1 when third-party data is mixed in
+    countries_covered: int = _ruled(_NON_NEGATIVE, at_most="countries_total")
+    countries_total: int = _ruled(_POSITIVE)
+    industries_covered: int = _ruled(_NON_NEGATIVE, at_most="industries_total")
+    industries_total: int = _ruled(_POSITIVE)
+    standard_layers_covered: frozenset[str] = _ruled(_KNOWN_LAYERS)
+    standard_layers_total: int = _ruled(_LAYER_COUNT, STANDARD_LAYER_COUNT)
+    external_data_flag: int = _ruled(_FLAG, 0)  # 1 when third-party data is mixed in
 
 
 @dataclass(frozen=True)
@@ -107,86 +137,86 @@ class EvidenceItem:
 
     id: str
     source_uri: str
-    auditability: float
-    traceability: float
+    auditability: float = _ruled(_UNIT)
+    traceability: float = _ruled(_UNIT)
 
 
 @dataclass(frozen=True)
 class RecognitionProfile:
     """External recognition events per year and per-event confidence."""
 
-    recognitions_per_year: int
-    single_event_confidence: float  # strictly between 0 and 1
+    recognitions_per_year: int = _ruled(_NON_NEGATIVE)
+    single_event_confidence: float = _ruled(_OPEN_UNIT)
 
 
 @dataclass(frozen=True)
 class TemporalProfile:
     """Age of the underlying data and the decay rate applied to it."""
 
-    lag_years: float
-    decay_rate: float
+    lag_years: float = _ruled(_NON_NEGATIVE)
+    decay_rate: float = _ruled(_POSITIVE)
 
 
 @dataclass(frozen=True)
 class AnnotationStats:
     """Who produced the labels and how consistent the producers were."""
 
-    human_fraction: float
-    mean_tenure_years: float
-    tenure_cap_years: float
-    human_machine_deviation: float
-    machine_machine_deviation: float
+    human_fraction: float = _ruled(_UNIT)
+    mean_tenure_years: float = _ruled(_NON_NEGATIVE)
+    tenure_cap_years: float = _ruled(_POSITIVE)
+    human_machine_deviation: float = _ruled(_NON_NEGATIVE)
+    machine_machine_deviation: float = _ruled(_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class AgilityStats:
     """Observed accuracy gain relative to the share of records changed."""
 
-    accuracy_gain: float
-    change_proportion: float
-    epsilon: float = 1e-6  # guards the ratio when change_proportion is 0
+    accuracy_gain: float  # any finite number
+    change_proportion: float = _ruled(_UNIT)
+    epsilon: float = _ruled(_POSITIVE, 1e-6, omittable=True)  # guards the ratio when change_proportion is 0
 
 
 @dataclass(frozen=True)
 class SafetyAudit:
     """Harmful-content audit tallies."""
 
-    harmful_rows: int
-    total_rows: int
+    harmful_rows: int = _ruled(_NON_NEGATIVE, at_most="total_rows")
+    total_rows: int = _ruled(_POSITIVE)
 
 
 @dataclass(frozen=True)
 class GovernanceStats:
     """Human oversight counts across the dataset's production pipeline."""
 
-    interventions: int
-    governed_cases: int
-    experts_involved: int
-    experts_total: int
-    stages_with_experts: int
-    stages_total: int
-    accuracy_series: tuple[float, ...]
-    assumptions_disclosed: int
-    assumptions_required: int
-    role_relations_separated: int
-    role_relations_total: int
+    interventions: int = _ruled(_NON_NEGATIVE, at_most="governed_cases")
+    governed_cases: int = _ruled(_NON_NEGATIVE)
+    experts_involved: int = _ruled(_NON_NEGATIVE, at_most="experts_total")
+    experts_total: int = _ruled(_NON_NEGATIVE)
+    stages_with_experts: int = _ruled(_NON_NEGATIVE, at_most="stages_total")
+    stages_total: int = _ruled(_NON_NEGATIVE)
+    accuracy_series: tuple[float, ...] = _ruled(_UNIT)
+    assumptions_disclosed: int = _ruled(_NON_NEGATIVE, at_most="assumptions_required")
+    assumptions_required: int = _ruled(_NON_NEGATIVE)
+    role_relations_separated: int = _ruled(_NON_NEGATIVE, at_most="role_relations_total")
+    role_relations_total: int = _ruled(_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class SamplingInputs:
     """Pre-computed sampling evidence: size, saturation threshold, share spread."""
 
-    sample_size: int
-    saturation_threshold: int
-    share_deviation: float
+    sample_size: int = _ruled(_NON_NEGATIVE)
+    saturation_threshold: int = _ruled(_AT_LEAST_ONE)
+    share_deviation: float = _ruled(_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     """Everything the scoring engine needs to know about one dataset."""
 
-    manifest_version: str
-    dataset_id: str
+    manifest_version: str = _ruled(_NON_EMPTY)
+    dataset_id: str = _ruled(_NON_EMPTY)
     coverage: CoverageProfile
     evidence: tuple[EvidenceItem, ...]
     recognition: RecognitionProfile
@@ -333,136 +363,86 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
 
     Returns an empty list for a well-formed manifest.  Violations are
     reported as data rather than raised, so callers can surface all of
-    them at once.  A NaN or an infinity in a float field is reported as
-    not finite in place of that field's range checks.  The integer
-    fields' range predicates are written so that NaN fails them too.
+    them at once.  The rules are the ones declared on the fields of the
+    manifest's dataclasses, checked in field order, section by section;
+    absent optional sections are skipped.  A NaN or an infinity in a
+    float field is reported as not finite in place of that field's rule.
     """
     found: list[Violation] = []
-
-    def flag(path: str, message: str) -> None:
-        found.append(Violation(path, message))
-
-    if not manifest.dataset_id:
-        flag("dataset_id", "must be non-empty")
-    if not manifest.manifest_version:
-        flag("manifest_version", "must be non-empty")
-
-    _check_coverage(manifest.coverage, flag)
-
-    for index, item in enumerate(manifest.evidence):
-        prefix = f"evidence[{index}]"
-        for name, value in (("auditability", item.auditability), ("traceability", item.traceability)):
-            if _finite(f"{prefix}.{name}", value, flag) and not 0 <= value <= 1:
-                flag(f"{prefix}.{name}", f"must be in [0, 1], got {value!r}")
-
-    rec = manifest.recognition
-    if not rec.recognitions_per_year >= 0:
-        flag("recognition.recognitions_per_year", "must be non-negative")
-    confidence_path = "recognition.single_event_confidence"
-    if _finite(confidence_path, rec.single_event_confidence, flag) and not 0 < rec.single_event_confidence < 1:
-        flag(confidence_path, f"must be strictly between 0 and 1, got {rec.single_event_confidence!r}")
-
-    temporal = manifest.temporal
-    if _finite("temporal.lag_years", temporal.lag_years, flag) and temporal.lag_years < 0:
-        flag("temporal.lag_years", "must be non-negative")
-    if _finite("temporal.decay_rate", temporal.decay_rate, flag) and temporal.decay_rate <= 0:
-        flag("temporal.decay_rate", "must be positive")
-
-    if manifest.annotation is not None:
-        _check_annotation(manifest.annotation, flag)
-    if manifest.agility is not None:
-        _check_agility(manifest.agility, flag)
-
-    safety = manifest.safety
-    if not safety.total_rows > 0:
-        flag("safety.total_rows", "must be positive")
-    if not safety.harmful_rows >= 0:
-        flag("safety.harmful_rows", "must be non-negative")
-    elif safety.total_rows > 0 and safety.harmful_rows > safety.total_rows:
-        flag("safety.harmful_rows", "cannot exceed total_rows")
-
-    _check_governance(manifest.governance, flag)
-
-    if manifest.sampling_inputs is not None:
-        si = manifest.sampling_inputs
-        if not si.sample_size >= 0:
-            flag("sampling_inputs.sample_size", "must be non-negative")
-        if not si.saturation_threshold >= 1:
-            flag("sampling_inputs.saturation_threshold", "must be at least 1")
-        if _finite("sampling_inputs.share_deviation", si.share_deviation, flag) and si.share_deviation < 0:
-            flag("sampling_inputs.share_deviation", "must be non-negative")
-
+    _check(manifest, "", found)
+    # Unlike the at_most pairs, the layer count is compared whatever the two fields hold.
+    coverage = manifest.coverage
+    if len(coverage.standard_layers_covered) > coverage.standard_layers_total:
+        found.append(Violation("coverage.standard_layers_covered", "cannot exceed standard_layers_total"))
     return found
 
 
-def _finite(path: str, value: float, flag) -> bool:
-    """Flag ``value`` at ``path`` unless it is a finite number; returns whether it is."""
-    if math.isfinite(value):
-        return True
-    flag(path, f"must be a finite number, got {value!r}")
-    return False
+def _check(obj: object, prefix: str, found: list[Violation]) -> None:
+    """Append to ``found`` each rule that ``obj`` or one of its sections breaks.
+
+    ``prefix`` starts the paths of ``obj``'s fields.
+    """
+    _, values, sections, bounded = _field_plan(type(obj))
+    failed: tuple[str, ...] = ()
+    for name, finite, many, test, describe in values:
+        value = getattr(obj, name)
+        if many:
+            for index, item in enumerate(value):
+                if finite and not math.isfinite(item):
+                    found.append(Violation(f"{prefix}{name}[{index}]", f"must be a finite number, got {item!r}"))
+                elif not test(item):
+                    found.append(Violation(f"{prefix}{name}[{index}]", describe(item)))
+            continue
+        if finite and not math.isfinite(value):
+            message = f"must be a finite number, got {value!r}"
+        elif test(value):
+            continue
+        else:
+            message = describe(value)
+        found.append(Violation(prefix + name, message))
+        failed += (name,)
+    for name, many in sections:
+        value = getattr(obj, name)
+        if many:
+            for index, item in enumerate(value):
+                _check(item, f"{prefix}{name}[{index}].", found)
+        elif value is not None:
+            _check(value, f"{prefix}{name}.", found)
+    for name, bound in bounded:
+        if name not in failed and bound not in failed and getattr(obj, name) > getattr(obj, bound):
+            found.append(Violation(prefix + name, f"cannot exceed {bound}"))
 
 
-def _check_coverage(coverage: CoverageProfile, flag) -> None:
-    pairs = (
-        ("countries", coverage.countries_covered, coverage.countries_total),
-        ("industries", coverage.industries_covered, coverage.industries_total),
-    )
-    for name, covered, total in pairs:
-        if not total > 0:
-            flag(f"coverage.{name}_total", "must be positive")
-        if not covered >= 0:
-            flag(f"coverage.{name}_covered", "must be non-negative")
-        elif total > 0 and covered > total:
-            flag(f"coverage.{name}_covered", f"cannot exceed {name}_total")
-    if coverage.standard_layers_total != STANDARD_LAYER_COUNT:
-        flag("coverage.standard_layers_total", f"must be {STANDARD_LAYER_COUNT}")
-    unknown = set(coverage.standard_layers_covered) - STANDARD_LAYERS
-    if unknown:
-        flag("coverage.standard_layers_covered", f"unknown layers: {sorted(unknown)}")
-    if len(coverage.standard_layers_covered) > coverage.standard_layers_total:
-        flag("coverage.standard_layers_covered", "cannot exceed standard_layers_total")
-    if coverage.external_data_flag not in (0, 1):
-        flag("coverage.external_data_flag", f"must be 0 or 1, got {coverage.external_data_flag!r}")
+_ANY = (lambda value: True, None)
 
 
-def _check_annotation(stats: AnnotationStats, flag) -> None:
-    if _finite("annotation.human_fraction", stats.human_fraction, flag) and not 0 <= stats.human_fraction <= 1:
-        flag("annotation.human_fraction", f"must be in [0, 1], got {stats.human_fraction!r}")
-    if _finite("annotation.mean_tenure_years", stats.mean_tenure_years, flag) and stats.mean_tenure_years < 0:
-        flag("annotation.mean_tenure_years", "must be non-negative")
-    if _finite("annotation.tenure_cap_years", stats.tenure_cap_years, flag) and stats.tenure_cap_years <= 0:
-        flag("annotation.tenure_cap_years", "must be positive")
-    for name in ("human_machine_deviation", "machine_machine_deviation"):
-        value = getattr(stats, name)
-        if _finite(f"annotation.{name}", value, flag) and value < 0:
-            flag(f"annotation.{name}", "must be non-negative")
+@cache
+def _field_plan(cls: type) -> tuple[tuple, tuple, tuple, tuple]:
+    """``cls``'s fields as the manifest codec and :func:`_check` read them, built once.
 
-
-def _check_agility(stats: AgilityStats, flag) -> None:
-    _finite("agility.accuracy_gain", stats.accuracy_gain, flag)
-    if _finite("agility.change_proportion", stats.change_proportion, flag) and not 0 <= stats.change_proportion <= 1:
-        flag("agility.change_proportion", f"must be in [0, 1], got {stats.change_proportion!r}")
-    if _finite("agility.epsilon", stats.epsilon, flag) and stats.epsilon <= 0:
-        flag("agility.epsilon", "must be positive")
-
-
-def _check_governance(stats: GovernanceStats, flag) -> None:
-    bounded = (
-        ("interventions", stats.interventions, "governed_cases", stats.governed_cases),
-        ("experts_involved", stats.experts_involved, "experts_total", stats.experts_total),
-        ("stages_with_experts", stats.stages_with_experts, "stages_total", stats.stages_total),
-        ("assumptions_disclosed", stats.assumptions_disclosed, "assumptions_required", stats.assumptions_required),
-        ("role_relations_separated", stats.role_relations_separated, "role_relations_total", stats.role_relations_total),
-    )
-    for name, value, bound_name, bound in bounded:
-        if not value >= 0:
-            flag(f"governance.{name}", "must be non-negative")
-        if not bound >= 0:
-            flag(f"governance.{bound_name}", "must be non-negative")
-        if value >= 0 and bound >= 0 and value > bound:
-            flag(f"governance.{name}", f"cannot exceed {bound_name}")
-    for index, accuracy in enumerate(stats.accuracy_series):
-        path = f"governance.accuracy_series[{index}]"
-        if _finite(path, accuracy, flag) and not 0 <= accuracy <= 1:
-            flag(path, f"must be in [0, 1], got {accuracy!r}")
+    Returns ``(fields, values, sections, bounded)``.  ``fields`` holds
+    ``(field, type, nullable)`` for the codec in :mod:`stride.io`, where
+    ``type`` leaves out the ``| None`` of a nullable field.  The rest is
+    what :func:`_check` walks: the values it checks, the sections it
+    descends into, and the at_most pairs.  Values are checked before
+    sections, which keeps field order: no manifest class declares a value
+    after a section.
+    """
+    hints = get_type_hints(cls)
+    types, values, sections, bounded = [], [], [], []
+    for spec in fields(cls):
+        tp = hints[spec.name]
+        nullable = type(None) in get_args(tp)
+        if nullable:
+            tp = get_args(tp)[0]
+        types.append((spec, tp, nullable))
+        many = get_origin(tp) is tuple
+        item = get_args(tp)[0] if many else tp
+        rule = spec.metadata.get("rule")
+        if is_dataclass(item):
+            sections.append((spec.name, many))
+        elif rule or item is float:
+            values.append((spec.name, item is float, many, *(rule or _ANY)))
+        if spec.metadata.get("at_most"):
+            bounded.append((spec.name, spec.metadata["at_most"]))
+    return tuple(types), tuple(values), tuple(sections), tuple(bounded)

@@ -124,7 +124,7 @@ def _read_record(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle, parse_constant=_refuse_constant, parse_float=_finite_float)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
         raise StoreError(f"cannot read run record {path.name}: {exc}") from None
     if not isinstance(raw, dict):
         raise StoreError(f"cannot read run record {path.name}: not a JSON object")

@@ -120,7 +120,12 @@ def statistical_methodology(
     saturation_weight: float = METHODOLOGY_WEIGHTS[0],
     representativeness_weight: float = METHODOLOGY_WEIGHTS[1],
 ) -> float:
-    """Weighted blend of sample saturation and share-spread representativeness."""
+    """Weighted blend of sample saturation and share-spread representativeness.
+
+    The representativeness term is ``1 - share_deviation``, taken as given,
+    so the result goes below 0 when ``share_deviation`` exceeds 1:
+    ``statistical_methodology(10, 10, 7.0)`` is -2.5.
+    """
     if saturation_threshold <= 0:
         raise ComputationError("saturation_threshold must be positive")
     if saturation_weight < 0 or representativeness_weight < 0:

@@ -398,3 +398,75 @@ class TestDelta:
         argv = ["delta", "--baseline", str(baseline), "--stride", "/nonexistent.json"]
         assert main(argv) == 2
         assert "cannot read rating file" in capsys.readouterr().err
+
+
+def _rating(scores: dict[str, float], scale: tuple[float, float]) -> str:
+    issues = {key: {"score": score, "scale_min": scale[0], "scale_max": scale[1]} for key, score in scores.items()}
+    return json.dumps(
+        {
+            "source_label": "rater",
+            "period_start": "2024-01-01",
+            "period_end": "2024-12-31",
+            "overall_rating": "BB",
+            "issue_scores": issues,
+        }
+    )
+
+
+class TestDeltaOverflow:
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_a_delta_beyond_float_range_exits_3(self, tmp_path, capsys, fmt):
+        scale = (-1.7e308, 1.7e308)
+        (tmp_path / "base.json").write_text(_rating({"pay": -1.7e308}, scale))
+        (tmp_path / "ours.json").write_text(_rating({"pay": 1.7e308}, scale))
+        argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
+        assert main(argv + ["--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: issue 'pay': recomputed 1.7e+308 minus baseline -1.7e+308 is beyond float range\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_a_net_adjustment_beyond_float_range_exits_3(self, tmp_path, capsys, fmt):
+        (tmp_path / "base.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)))
+        (tmp_path / "ours.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)))
+        adjustment = {"category": "definition_ambiguity", "adjustment": 1.5e308}
+        (tmp_path / "notes.json").write_text(json.dumps({"a": adjustment, "b": adjustment}))
+        argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
+        assert main(argv + ["--annotations", str(tmp_path / "notes.json"), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: net adjustment is beyond float range\n"
+
+
+class TestDeeplyNestedJson:
+    DEEP = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--manifest", "{deep}"],
+            ["score", "--manifest", "{manifest}", "--weights", "{deep}"],
+            ["delta", "--baseline", "{rating}", "--stride", "{rating}", "--annotations", "{deep}"],
+        ],
+        ids=["manifest", "weights", "annotations"],
+    )
+    def test_a_deep_document_exits_2(self, store, manifest_file, rating_files, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        paths = {"deep": deep, "manifest": manifest_file, "rating": rating_files[0]}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+    def test_a_deep_run_record_exits_3(self, store, manifest_file, capsys):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        path.write_text(path.read_text().replace('"trust":', f'"deep":{self.DEEP},"trust":'))
+        assert main(["explain", "--run", run_id]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read run record {run_id}.json: maximum recursion depth exceeded")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import typing
 
 import pytest
 
@@ -12,6 +13,7 @@ from stride.errors import SchemaError
 from stride.model import (
     COMPONENT_METRICS,
     ComponentId,
+    DatasetManifest,
     MetricId,
     SamplingInputs,
     WeightConfig,
@@ -263,3 +265,31 @@ class TestNonFiniteManifestValues:
         temporal = dataclasses.replace(luxshare_manifest.temporal, lag_years=-0.5, decay_rate=-1.0)
         rendered = [str(v) for v in validate_manifest(dataclasses.replace(luxshare_manifest, temporal=temporal))]
         assert rendered == ["temporal.lag_years: must be non-negative", "temporal.decay_rate: must be positive"]
+
+
+# Number fields that only have to be finite.
+UNCONSTRAINED = {"AgilityStats.accuracy_gain"}
+
+
+def _section_classes(root):
+    """``root`` and every dataclass reachable through its field types."""
+    found = [root]
+    for cls in found:  # grows while it is walked
+        for hint in typing.get_type_hints(cls).values():
+            for tp in (hint, *typing.get_args(hint)):
+                if dataclasses.is_dataclass(tp) and tp not in found:
+                    found.append(tp)
+    return found
+
+
+def test_every_number_field_declares_a_rule():
+    classes = _section_classes(DatasetManifest)
+    assert len(classes) == 10
+    unruled = set()
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            hint = hints[field.name]
+            if {int, float} & {hint, *typing.get_args(hint)} and not field.metadata.get("rule"):
+                unruled.add(f"{cls.__name__}.{field.name}")
+    assert unruled == UNCONSTRAINED

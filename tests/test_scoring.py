@@ -136,6 +136,9 @@ class TestLeafMetrics:
     def test_methodology_saturates_at_threshold(self):
         assert statistical_methodology(40, 20, 0.0) == 1.0
 
+    def test_methodology_goes_below_zero_past_unit_share_deviation(self):
+        assert statistical_methodology(10, 10, 7.0) == -2.5
+
     def test_methodology_rejects_unbalanced_weights(self):
         with pytest.raises(ComputationError, match="sum to 1"):
             statistical_methodology(10, 20, 0.1, saturation_weight=0.7, representativeness_weight=0.6)
