@@ -156,7 +156,11 @@ def _cmd_sample_select(args: argparse.Namespace) -> int:
         "selected": list(result.record_ids),
         "swaps_applied": result.swaps_applied,
     }
-    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity among the divergences
+        raise ComputationError(f"selection has no JSON form: {exc}") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -31,9 +31,10 @@ from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
 from .errors import SchemaError
 from .model import (
+    COMPONENT_CODES,
     COMPONENT_METRICS,
+    METRIC_CODES,
     SPEC_VERSION,
-    ComponentId,
     DatasetManifest,
     MetricId,
     StrideReport,
@@ -50,8 +51,14 @@ if TYPE_CHECKING:
     from .delta import Annotation, Interval, RatingRecord
     from .sampling import PopulationRecord
 
-# Weight groups as they appear in configuration documents.
-_WEIGHT_GROUPS = {component.name.lower(): members for component, members in COMPONENT_METRICS.items()}
+# Weight groups as they appear in configuration documents, each with its
+# members' (metric, code) pairs, and metrics by their report codes.
+_WEIGHT_GROUPS = {
+    component.name.lower(): tuple((metric, metric.value) for metric in members)
+    for component, members in COMPONENT_METRICS.items()
+}
+_METRICS_BY_CODE = {code: metric for metric, code in METRIC_CODES}
+_METRIC_CODE = dict(METRIC_CODES)
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +288,28 @@ def weight_config_from_obj(obj: object) -> WeightConfig:
 
     alpha_obj = dict(_obj(_take(root, "alpha", "weights"), "alpha"))
     alpha = []
-    for component in ComponentId:
-        if component.value not in alpha_obj:
-            raise SchemaError(f"alpha.{component.value}: missing required field")
-        alpha.append(_as_float(alpha_obj.pop(component.value), f"alpha.{component.value}"))
+    for _, code in COMPONENT_CODES:
+        if code not in alpha_obj:
+            raise SchemaError(f"alpha.{code}: missing required field")
+        alpha.append(_as_float(alpha_obj.pop(code), f"alpha.{code}"))
     _no_extras(alpha_obj, "alpha")
 
     weights: dict[MetricId, float] = {}
     for group_name, members in _WEIGHT_GROUPS.items():
         group_obj = dict(_obj(_take(root, group_name, "weights"), group_name))
-        for metric in members:
-            if metric.value not in group_obj:
-                raise SchemaError(f"{group_name}.{metric.value}: missing required field")
-            weights[metric] = _as_float(group_obj.pop(metric.value), f"{group_name}.{metric.value}")
+        for metric, code in members:
+            if code not in group_obj:
+                raise SchemaError(f"{group_name}.{code}: missing required field")
+            weights[metric] = _as_float(group_obj.pop(code), f"{group_name}.{code}")
         _no_extras(group_obj, group_name)
 
-    applicability = {metric: True for metric in MetricId}
+    applicability = {metric: True for metric, _ in METRIC_CODES}
     if root.get("applicability") is not None:
         applicability_obj = dict(_obj(root["applicability"], "applicability"))
-        codes = {metric.value: metric for metric in MetricId}
         for code, value in sorted(applicability_obj.items()):
-            if code not in codes:
+            if code not in _METRICS_BY_CODE:
                 raise SchemaError(f"applicability.{code}: unknown metric code")
-            applicability[codes[code]] = _as_bool(value, f"applicability.{code}")
+            applicability[_METRICS_BY_CODE[code]] = _as_bool(value, f"applicability.{code}")
     root.pop("applicability", None)
     _no_extras(root, "weights")
 
@@ -314,11 +320,11 @@ def weight_config_from_obj(obj: object) -> WeightConfig:
 
 def weight_config_to_dict(config: WeightConfig) -> dict:
     result: dict = {
-        "alpha": {component.value: coefficient for component, coefficient in zip(ComponentId, config.alpha)},
+        "alpha": {code: coefficient for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha)},
     }
     for group_name, members in _WEIGHT_GROUPS.items():
-        result[group_name] = {metric.value: config.weights[metric] for metric in members}
-    result["applicability"] = {metric.value: config.applicability[metric] for metric in MetricId}
+        result[group_name] = {code: config.weights[metric] for metric, code in members}
+    result["applicability"] = {code: config.applicability[metric] for metric, code in METRIC_CODES}
     return result
 
 
@@ -337,14 +343,14 @@ def report_to_dict(report: StrideReport) -> dict:
         "manifest_digest": report.manifest_digest,
         "sub_scores": [
             {
-                "metric_id": sub.metric_id.value,
+                "metric_id": _METRIC_CODE[sub.metric_id],
                 "value": sub.value,
                 "applicable": sub.applicable,
                 "inputs_digest": sub.inputs_digest,
             }
             for sub in report.sub_scores
         ],
-        "component_scores": {component.value: report.component_scores[component] for component in ComponentId},
+        "component_scores": {code: report.component_scores[component] for component, code in COMPONENT_CODES},
         "trust": report.trust,
         "config": weight_config_to_dict(report.config_snapshot),
     }
@@ -361,16 +367,15 @@ def report_from_dict(document: dict, path: str = "report") -> StrideReport:
         raise SchemaError(f"{path}.spec_version: unsupported version {version!r}")
     manifest_digest = _as_str(_take(root, "manifest_digest", path), f"{path}.manifest_digest")
 
-    codes = {metric.value: metric for metric in MetricId}
     sub_scores = []
     seen: set[MetricId] = set()
     for index, entry in enumerate(_as_list(_take(root, "sub_scores", path), f"{path}.sub_scores")):
         sub_path = f"{path}.sub_scores[{index}]"
         sub_obj = dict(_obj(entry, sub_path))
         code = _as_str(_take(sub_obj, "metric_id", sub_path), f"{sub_path}.metric_id")
-        if code not in codes:
+        if code not in _METRICS_BY_CODE:
             raise SchemaError(f"{sub_path}.metric_id: unknown metric code {code!r}")
-        metric = codes[code]
+        metric = _METRICS_BY_CODE[code]
         if metric in seen:
             raise SchemaError(f"{sub_path}.metric_id: duplicate entry for {code}")
         seen.add(metric)
@@ -385,18 +390,16 @@ def report_from_dict(document: dict, path: str = "report") -> StrideReport:
         digest = _as_str(_take(sub_obj, "inputs_digest", sub_path), f"{sub_path}.inputs_digest")
         _no_extras(sub_obj, sub_path)
         sub_scores.append(SubScore(metric, value, applicable, digest))
-    missing = [metric.value for metric in MetricId if metric not in seen]
+    missing = [code for metric, code in METRIC_CODES if metric not in seen]
     if missing:
         raise SchemaError(f"{path}.sub_scores: missing entries for {', '.join(missing)}")
 
     components_obj = dict(_obj(_take(root, "component_scores", path), f"{path}.component_scores"))
     component_scores = {}
-    for component in ComponentId:
-        if component.value not in components_obj:
-            raise SchemaError(f"{path}.component_scores.{component.value}: missing required field")
-        component_scores[component] = _as_float(
-            components_obj.pop(component.value), f"{path}.component_scores.{component.value}"
-        )
+    for component, code in COMPONENT_CODES:
+        if code not in components_obj:
+            raise SchemaError(f"{path}.component_scores.{code}: missing required field")
+        component_scores[component] = _as_float(components_obj.pop(code), f"{path}.component_scores.{code}")
     _no_extras(components_obj, f"{path}.component_scores")
 
     trust = _as_float(_take(root, "trust", path), f"{path}.trust")

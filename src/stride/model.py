@@ -81,6 +81,13 @@ COMPONENT_METRICS: dict[ComponentId, tuple[MetricId, ...]] = {
     ),
 }
 
+# (member, code) pairs in declaration order, for loops that need both: an
+# Enum walk and a ``.value`` read cost far more than a tuple walk.
+METRIC_CODES: tuple[tuple[MetricId, str], ...] = tuple((metric, metric.value) for metric in MetricId)
+COMPONENT_CODES: tuple[tuple[ComponentId, str], ...] = tuple(
+    (component, component.value) for component in ComponentId
+)
+
 # The five recognised standardisation layers, all of which a manifest may claim.
 STANDARD_LAYERS = frozenset({"global", "national", "local", "industry", "company"})
 STANDARD_LAYER_COUNT = 5
@@ -312,22 +319,23 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
     Raises :class:`SchemaError` on negative weights, a component with no
     applicable metric, or applicable weights summing to zero.
     """
-    for metric in MetricId:
+    for metric, code in METRIC_CODES:
         if metric not in config.weights:
-            raise SchemaError(f"weights: missing entry for {metric.value}")
+            raise SchemaError(f"weights: missing entry for {code}")
         if metric not in config.applicability:
-            raise SchemaError(f"applicability: missing entry for {metric.value}")
-        if not math.isfinite(config.weights[metric]):
-            raise SchemaError(f"weights.{metric.value}: must be a finite number, got {config.weights[metric]!r}")
-        if config.weights[metric] < 0:
-            raise SchemaError(f"weights.{metric.value}: negative weight {config.weights[metric]!r}")
+            raise SchemaError(f"applicability: missing entry for {code}")
+        weight = config.weights[metric]
+        if not math.isfinite(weight):
+            raise SchemaError(f"weights.{code}: must be a finite number, got {weight!r}")
+        if weight < 0:
+            raise SchemaError(f"weights.{code}: negative weight {weight!r}")
     if len(config.alpha) != 4:
         raise SchemaError("alpha: expected exactly four coefficients")
-    for component, coefficient in zip(ComponentId, config.alpha):
+    for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha):
         if not math.isfinite(coefficient):
-            raise SchemaError(f"alpha.{component.value}: must be a finite number, got {coefficient!r}")
+            raise SchemaError(f"alpha.{code}: must be a finite number, got {coefficient!r}")
         if coefficient < 0:
-            raise SchemaError(f"alpha.{component.value}: negative coefficient {coefficient!r}")
+            raise SchemaError(f"alpha.{code}: negative coefficient {coefficient!r}")
 
     weights: dict[MetricId, float] = {}
     for component, members in COMPONENT_METRICS.items():
@@ -348,8 +356,8 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
 
     return WeightConfig(
         alpha=tuple(config.alpha),
-        weights={metric: weights[metric] for metric in MetricId},
-        applicability={metric: bool(config.applicability[metric]) for metric in MetricId},
+        weights={metric: weights[metric] for metric, _ in METRIC_CODES},
+        applicability={metric: bool(config.applicability[metric]) for metric, _ in METRIC_CODES},
     )
 
 

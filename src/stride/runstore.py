@@ -7,13 +7,21 @@ idempotent.  Records are single JSON files written atomically
 its id is reported as corrupt rather than silently served.
 
 A record is canonical JSON (sorted keys, no insignificant whitespace,
-UTF-8) followed by a newline.  Records written in the older indented
-form still load, since loading parses the JSON rather than comparing
-bytes.  Filesystem errors while saving raise :class:`StoreError`, and
-so does a report holding NaN or an infinity, before anything is written.
-A record that cannot be read or decoded, including one holding NaN, an
-infinity or a number beyond float range, is a store fault too: loading
-it raises :class:`StoreError`.
+UTF-8) followed by a newline.  Saving encodes the report once, through
+the shared canonical encoder of :mod:`stride.digests`: that text is
+hashed for the run id, and the record is written as a fixed template
+around it, its keys in sorted order (``config_digest``,
+``manifest_digest``, ``report``, ``run_id``, ``timestamp``), so the
+bytes are those of ``canonical_json(record)``.  Records written in the
+older indented form still load, since loading parses the JSON rather
+than comparing bytes; loading re-hashes the parsed report in full.
+
+Filesystem errors while saving raise :class:`StoreError`, and so does a
+report holding NaN or an infinity, before anything is written.  A record
+that cannot be read or decoded, including one holding NaN, an infinity
+or a number beyond float range, is a store fault too: loading it raises
+:class:`StoreError`, and so does a record whose envelope fields are not
+strings or whose manifest digest contradicts its report.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .digests import canonical_json, content_digest
+from .digests import _text_digest, canonical_json, content_digest
 from .errors import SchemaError, StoreError
 from .io import _finite_float, _refuse_constant, report_from_dict, report_to_dict
 from .model import StrideReport
@@ -57,12 +65,12 @@ def run_id_for(report: StrideReport) -> str:
     A report holding NaN or an infinity has no canonical JSON, so it has
     no id: that raises :class:`StoreError`.
     """
-    return _run_id(report_to_dict(report))
+    return _text_digest(_report_text(report_to_dict(report)))
 
 
-def _run_id(report_dict: dict) -> str:
+def _report_text(report_dict: dict) -> str:
     try:
-        return content_digest(report_dict)
+        return canonical_json(report_dict)
     except ValueError as exc:  # canonical JSON refuses NaN and the infinities
         raise StoreError(f"report has no run id: {exc}") from None
 
@@ -81,7 +89,8 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     """
     store = Path(store_path)
     report_dict = report_to_dict(report)
-    run_id = _run_id(report_dict)
+    report_text = _report_text(report_dict)
+    run_id = _text_digest(report_text)
     target = _record_path(store, run_id)
     try:
         store.mkdir(parents=True, exist_ok=True)
@@ -94,14 +103,16 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
             raise StoreError(f"run {run_id}: stored content does not match its id")
         return run_id
 
-    record = {
-        "run_id": run_id,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "manifest_digest": report.manifest_digest,
-        "config_digest": content_digest(report_dict["config"]),
-        "report": report_dict,
-    }
-    data = (canonical_json(record) + "\n").encode("utf-8")
+    # canonical_json(record) spelled out around the report text.  The digests
+    # and the timestamp are hex and ISO text, which JSON-encode as themselves
+    # in quotes; the manifest digest is the report's own, so it is encoded.
+    record_text = (
+        f'{{"config_digest":"{content_digest(report_dict["config"])}",'
+        f'"manifest_digest":{canonical_json(report.manifest_digest)},'
+        f'"report":{report_text},"run_id":"{run_id}",'
+        f'"timestamp":"{datetime.now(timezone.utc).isoformat()}"}}\n'
+    )
+    data = record_text.encode("utf-8")
     # Write-rename keeps readers from ever seeing a partial record.
     try:
         fd, temp_name = tempfile.mkstemp(dir=store, prefix=f".{run_id[:12]}-", suffix=".tmp")
@@ -151,13 +162,22 @@ def resolve_run_id(run_id: str, store_path: Path | str) -> str:
 
 
 def load_run(run_id: str, store_path: Path | str) -> RunRecord:
-    """Load a stored run, verifying its content against its id."""
+    """Load a stored run, verifying its content against its id.
+
+    The envelope is checked too: the timestamp and both digests must be
+    strings, and the manifest digest must be the verified report's own.
+    The config digest is only type-checked, so loading computes no digest
+    beyond the id's.
+    """
     store = Path(store_path)
     full_id = resolve_run_id(run_id, store)
     raw = _read_record(_record_path(store, full_id))
     for key in ("run_id", "timestamp", "manifest_digest", "config_digest", "report"):
         if key not in raw:
             raise StoreError(f"run {full_id}: record missing field {key!r}")
+    for key in ("timestamp", "manifest_digest", "config_digest"):
+        if not isinstance(raw[key], str):
+            raise StoreError(f"run {full_id}: record field {key!r} must be a string, got {type(raw[key]).__name__}")
     if raw["run_id"] != full_id:
         raise StoreError(f"run {full_id}: record carries mismatched id {raw['run_id']!r}")
     if content_digest(raw["report"]) != full_id:
@@ -166,6 +186,8 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
         report = report_from_dict(raw["report"])
     except SchemaError as exc:
         raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
+    if raw["manifest_digest"] != report.manifest_digest:
+        raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
     return RunRecord(
         run_id=raw["run_id"],
         timestamp=raw["timestamp"],

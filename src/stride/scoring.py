@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .digests import content_digest
+from .digests import _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError
 from .io import manifest_to_dict
 from .model import (
+    COMPONENT_CODES,
     COMPONENT_METRICS,
     AgilityStats,
     AnnotationStats,
@@ -299,11 +300,11 @@ def _accuracy_feedback(stats: GovernanceStats) -> float | None:
     return iterative_feedback(stats.accuracy_series)
 
 
-# Each metric's inputs and formula.  A section name passes that manifest
-# section to the formula; a tuple of keys passes the governance section.
-# The inputs digest covers the same slice of ``io.manifest_to_dict``: the
-# whole section, or those governance keys.  A section that is ``None``
-# leaves its metric inapplicable.
+# Each metric's inputs and formula, in ``MetricId`` order.  A section name
+# passes that manifest section to the formula; a tuple of keys passes the
+# governance section.  The inputs digest covers the same slice of
+# ``io.manifest_to_dict``: the whole section, or those governance keys.  A
+# section that is ``None`` leaves its metric inapplicable.
 _METRICS: dict[MetricId, tuple[str | tuple[str, ...], Callable[..., float | None]]] = {
     MetricId.INCLUSIVENESS_MATERIALITY: ("coverage", inclusiveness_materiality),
     MetricId.AUDITABILITY_TRACEABILITY: ("evidence", auditability_traceability),
@@ -335,16 +336,18 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         raise SchemaError(f"manifest validation failed: {details}")
     normalised = validate_weight_config(config)
     document = manifest_to_dict(manifest)
+    # Each top-level entry is encoded once: its text is hashed for the
+    # section's inputs digest and spliced into the manifest's canonical text.
+    texts = {key: canonical_json(value) for key, value in document.items()}
 
     sub_scores = []
-    for metric in MetricId:
-        inputs, formula = _METRICS[metric]
+    for metric, (inputs, formula) in _METRICS.items():
         if isinstance(inputs, str):
-            section, sliced = getattr(manifest, inputs), document[inputs]
+            section = getattr(manifest, inputs)
+            digest = _text_digest(texts[inputs])
         else:
             section = manifest.governance
-            sliced = {key: document["governance"][key] for key in inputs}
-        digest = content_digest(sliced)
+            digest = content_digest({key: document["governance"][key] for key in inputs})
         if not normalised.applicability[metric]:
             sub_scores.append(SubScore(metric, None, False, digest))
             continue
@@ -353,7 +356,7 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
 
     breakdowns = {
         component: component_score(component, sub_scores, normalised)
-        for component in ComponentId
+        for component, _ in COMPONENT_CODES
     }
     components = {component: breakdown.total for component, breakdown in breakdowns.items()}
     trust = trust_score(
@@ -364,12 +367,14 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         normalised.alpha,
     )
 
+    # The canonical text of the whole document: its sorted entries, spliced.
+    manifest_text = "{" + ",".join(canonical_json(key) + ":" + texts[key] for key in sorted(texts)) + "}"
     return StrideReport(
         sub_scores=tuple(sub_scores),
         component_scores=components,
         trust=trust,
         config_snapshot=normalised,
-        manifest_digest=content_digest(document),
+        manifest_digest=_text_digest(manifest_text),
     )
 
 
@@ -377,5 +382,5 @@ def component_breakdowns(report: StrideReport) -> dict[ComponentId, ComponentBre
     """Recompute per-component term breakdowns from a finished report."""
     return {
         component: component_score(component, report.sub_scores, report.config_snapshot)
-        for component in ComponentId
+        for component, _ in COMPONENT_CODES
     }

@@ -1,4 +1,4 @@
-"""Seeded random generators for valid manifests, used across the tests."""
+"""Seeded random generators for valid manifests, and a skewed weight config, used across the tests."""
 
 from __future__ import annotations
 
@@ -12,10 +12,13 @@ from stride.model import (
     DatasetManifest,
     EvidenceItem,
     GovernanceStats,
+    MetricId,
     RecognitionProfile,
     SafetyAudit,
     SamplingInputs,
     TemporalProfile,
+    WeightConfig,
+    validate_weight_config,
 )
 
 
@@ -112,4 +115,18 @@ def random_manifest(rng: random.Random) -> DatasetManifest:
         annotation=annotation,
         agility=agility,
         sampling_inputs=sampling_inputs,
+    )
+
+
+def skewed_config() -> WeightConfig:
+    """Uneven alpha and weights, with one metric of three components inapplicable."""
+    return validate_weight_config(
+        WeightConfig(
+            alpha=(0.4, 0.3, 0.2, 0.1),
+            weights={metric: float(index + 1) for index, metric in enumerate(MetricId)},
+            applicability={
+                metric: metric not in (MetricId.AUDITABILITY_TRACEABILITY, MetricId.AGILITY, MetricId.TRANSPARENCY)
+                for metric in MetricId
+            },
+        )
     )

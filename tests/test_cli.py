@@ -203,6 +203,28 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err == f"error: cannot read run record {run_id}.json: {reason}\n"
 
+    @pytest.mark.parametrize(
+        ("key", "value", "reason"),
+        [
+            ("timestamp", ["2026-01-01"], "record field 'timestamp' must be a string, got list"),
+            ("config_digest", {"sha256": "00"}, "record field 'config_digest' must be a string, got dict"),
+            ("manifest_digest", "0" * 64, "record manifest_digest does not match its report"),
+        ],
+        ids=["timestamp-list", "config-digest-object", "manifest-digest-contradicts"],
+    )
+    def test_record_with_a_bad_envelope_exits_3(self, store, manifest_file, capsys, key, value, reason):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        raw = json.loads(path.read_text())
+        raw[key] = value
+        path.write_text(json.dumps(raw))
+        exit_code = main(["explain", "--run", run_id])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: run {run_id}: {reason}\n"
+
 
 class TestValidate:
     def test_clean_manifest_reports_ok(self, manifest_file, capsys):
@@ -339,6 +361,24 @@ class TestSample:
             assert captured.out == ""
             assert "criterion 'size': numeric values must be finite" in captured.err
             assert "Traceback" not in captured.err
+
+    def test_select_with_a_non_finite_deviation_exits_3(self, population_file, capsys, monkeypatch):
+        import dataclasses
+
+        import stride.sampling
+
+        select = stride.sampling.select_representative_sample
+
+        def non_finite(*args, **kwargs):
+            return dataclasses.replace(select(*args, **kwargs), deviation=float("nan"))
+
+        monkeypatch.setattr(stride.sampling, "select_representative_sample", non_finite)
+        argv = ["sample", "select", "--population", str(population_file), "--k", "5", "--seed", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: selection has no JSON form: Out of range float values")
+        assert "Traceback" not in captured.err
 
     def test_select_rejects_a_negative_swap_budget(self, population_file, capsys):
         argv = ["sample", "select", "--population", str(population_file), "--k", "5", "--seed", "1", "--max-swaps", "-5"]

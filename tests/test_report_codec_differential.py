@@ -1,0 +1,152 @@
+"""The report and weight-configuration codecs against their frozen reference.
+
+``report_codec_oracle`` keeps ``report_to_dict``, ``report_from_dict``,
+``weight_config_from_obj`` and ``weight_config_to_dict`` as they were when
+they walked the ``MetricId`` and ``ComponentId`` enums.  The engine walks
+``(member, code)`` tuples, so it must encode every report to the same
+dict, and decode every document to the same report or refuse it with the
+same message.
+
+The documents are saved reports of the bundled fixture and of seeded
+factory manifests, under equal weights and under a skewed configuration
+with inapplicable metrics.  Each one takes every single-fault mutation: a
+key dropped at any depth, a value at any depth retyped, an unknown key
+added to any object, an unknown or duplicate metric code, and an
+applicable sub-score marked not applicable while keeping its value.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+
+import pytest
+
+import report_codec_oracle as oracle
+from manifest_factory import random_manifest, skewed_config
+from stride.errors import SchemaError
+from stride.fixtures import fixture_text
+from stride.io import parse_manifest, report_from_dict, report_to_dict, weight_config_from_obj, weight_config_to_dict
+from stride.model import equal_weight_config
+from stride.scoring import score_dataset
+
+CONFIGS = {"equal": equal_weight_config, "skewed": skewed_config}
+DOCUMENTS = [(config, name) for config in CONFIGS for name in ["fixture", "seed-0", "seed-1", "seed-2"]]
+RETYPED = ("text", True, 0, -1.0, [], {}, None)
+
+
+def _report(config: str, name: str):
+    if name == "fixture":
+        manifest = parse_manifest(fixture_text("luxshare_manifest.json"))
+    else:
+        manifest = random_manifest(random.Random(int(name.removeprefix("seed-"))))
+    return score_dataset(manifest, CONFIGS[config]())
+
+
+def _trails(node: object, trail: tuple = ()):
+    """The key trail to every value inside ``node``, at every depth."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield trail + (key,), child
+        yield from _trails(child, trail + (key,))
+
+
+def _at(document: dict, trail: tuple) -> object:
+    for key in trail:
+        document = document[key]
+    return document
+
+
+def _mutant(document: dict, trail: tuple, change) -> dict:
+    mutated = copy.deepcopy(document)
+    change(_at(mutated, trail[:-1]), trail[-1])
+    return mutated
+
+
+def _set(value):
+    return lambda parent, key: parent.__setitem__(key, copy.deepcopy(value))
+
+
+def _mutants(document: dict):
+    """Every single-fault mutation of a report document."""
+    yield _mutant(document, ("unknown",), _set(1))
+    for trail, value in _trails(document):
+        if isinstance(trail[-1], str):
+            yield _mutant(document, trail, lambda parent, key: parent.pop(key))
+        for retyped in RETYPED:
+            yield _mutant(document, trail, _set(retyped))
+        if isinstance(value, dict):
+            yield _mutant(document, trail + ("unknown",), _set(1))
+    subs = document["sub_scores"]
+    for index, entry in enumerate(subs):
+        yield _mutant(document, ("sub_scores", index, "metric_id"), _set("XX"))
+        yield _mutant(document, ("sub_scores", index, "metric_id"), _set(subs[index - 1]["metric_id"]))
+        yield _mutant(document, ("sub_scores",), lambda parent, key, entry=entry: parent[key].append(copy.deepcopy(entry)))
+        if entry["applicable"]:
+            yield _mutant(document, ("sub_scores", index, "applicable"), _set(False))
+    yield _mutant(document, ("config", "applicability", "XX"), _set(True))
+
+
+def _decode_like_the_oracle(document: dict) -> None:
+    try:
+        expected = oracle.report_from_dict(copy.deepcopy(document))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as caught:
+            report_from_dict(copy.deepcopy(document))
+        assert str(caught.value) == str(exc)
+        return
+    report = report_from_dict(copy.deepcopy(document))
+    assert report == expected
+    assert json.dumps(report_to_dict(report), sort_keys=True) == json.dumps(
+        oracle.report_to_dict(expected), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(("config", "name"), DOCUMENTS)
+def test_report_codec_matches_the_oracle(config, name):
+    report = _report(config, name)
+    # Compared as JSON text, which tells 1 from 1.0.
+    document = report_to_dict(report)
+    assert json.dumps(document, sort_keys=True) == json.dumps(oracle.report_to_dict(report), sort_keys=True)
+    assert report_from_dict(document) == oracle.report_from_dict(document) == report
+
+
+@pytest.mark.parametrize(("config", "name"), DOCUMENTS)
+def test_single_fault_report_mutants_decode_like_the_oracle(config, name):
+    document = oracle.report_to_dict(_report(config, name))
+    count = 0
+    for mutated in _mutants(document):
+        _decode_like_the_oracle(mutated)
+        count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_weight_config_codec_matches_the_oracle(config):
+    normalised = CONFIGS[config]()
+    document = weight_config_to_dict(normalised)
+    assert json.dumps(document, sort_keys=True) == json.dumps(oracle.weight_config_to_dict(normalised), sort_keys=True)
+    assert weight_config_from_obj("equal") == oracle.weight_config_from_obj("equal")
+    for mutated in [document, *_config_mutants(document)]:
+        try:
+            expected = oracle.weight_config_from_obj(copy.deepcopy(mutated))
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as caught:
+                weight_config_from_obj(copy.deepcopy(mutated))
+            assert str(caught.value) == str(exc)
+            continue
+        assert weight_config_from_obj(copy.deepcopy(mutated)) == expected
+
+
+def _config_mutants(document: dict):
+    """Single faults of a config document, plus every component made inapplicable or weightless."""
+    yield from (_mutant(document, trail, _set(retyped)) for trail, _ in _trails(document) for retyped in RETYPED)
+    yield from (_mutant(document, trail, lambda parent, key: parent.pop(key)) for trail, _ in _trails(document))
+    for group, members in document.items():
+        if group in ("alpha", "applicability"):
+            continue
+        yield _mutant(document, (group,), _set({code: 0.0 for code in members}))
+        yield _mutant(
+            document, ("applicability",), lambda parent, key, members=members: parent[key].update(dict.fromkeys(members, False))
+        )

@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
+from manifest_factory import random_manifest, skewed_config
 from stride.digests import canonical_json, content_digest
 from stride.errors import StoreError
 from stride.io import report_to_dict
+from stride.model import equal_weight_config
 from stride.runstore import (
     load_run,
     resolve_run_id,
@@ -24,6 +27,13 @@ from stride.scoring import score_dataset
 @pytest.fixture()
 def report(luxshare_manifest, equal_config):
     return score_dataset(luxshare_manifest, equal_config)
+
+
+def seeded_reports(count: int = 60):
+    """Reports of seeded factory manifests under equal and skewed weights."""
+    for config in (equal_weight_config(), skewed_config()):
+        for seed in range(count):
+            yield score_dataset(random_manifest(random.Random(seed)), config)
 
 
 class TestSaveAndLoad:
@@ -166,14 +176,19 @@ def _rewrite_indented(path) -> str:
 
 class TestRecordFormat:
     def test_record_is_canonical_json(self, report, tmp_path):
-        run_id = save_run(report, tmp_path)
-        text = (tmp_path / f"{run_id}.json").read_text(encoding="utf-8")
-        raw = json.loads(text)
-        assert text == canonical_json(raw) + "\n"
-        assert sorted(raw) == ["config_digest", "manifest_digest", "report", "run_id", "timestamp"]
-        assert raw["run_id"] == run_id
-        assert raw["report"] == report_to_dict(report)
-        assert raw["config_digest"] == content_digest(report_to_dict(report)["config"])
+        # The record is a template around the report text; it must read as canonical_json(record).
+        escaped = dataclasses.replace(report, manifest_digest='quote " backslash \\ control \x01 non-ASCII é ✓')
+        for each in [report, escaped, *seeded_reports()]:
+            run_id = save_run(each, tmp_path)
+            text = (tmp_path / f"{run_id}.json").read_text(encoding="utf-8")
+            raw = json.loads(text)
+            assert text == canonical_json(raw) + "\n"
+            assert sorted(raw) == ["config_digest", "manifest_digest", "report", "run_id", "timestamp"]
+            assert raw["run_id"] == run_id
+            assert raw["manifest_digest"] == each.manifest_digest
+            assert raw["report"] == report_to_dict(each)
+            assert raw["config_digest"] == content_digest(report_to_dict(each)["config"])
+            assert load_run(run_id, tmp_path).report == each
 
     def test_indented_record_still_loads(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
@@ -190,6 +205,30 @@ class TestRecordFormat:
         assert save_run(report, tmp_path) == run_id
         assert path.read_bytes() == before
         assert len(list(tmp_path.iterdir())) == 1
+
+
+class TestRecordEnvelope:
+    """A record whose report verifies is still refused if its envelope is wrong."""
+
+    def _rewrite(self, path, **fields):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw.update(fields)
+        path.write_text(canonical_json(raw) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("key", ["timestamp", "manifest_digest", "config_digest"])
+    @pytest.mark.parametrize("value", [["2026-01-01"], {"sha256": "00"}, 7, None], ids=["list", "object", "int", "null"])
+    def test_envelope_field_that_is_not_a_string_is_a_store_error(self, report, tmp_path, key, value):
+        run_id = save_run(report, tmp_path)
+        self._rewrite(tmp_path / f"{run_id}.json", **{key: value})
+        kind = type(value).__name__
+        with pytest.raises(StoreError, match=f"^run {run_id}: record field '{key}' must be a string, got {kind}$"):
+            load_run(run_id, tmp_path)
+
+    def test_manifest_digest_contradicting_the_report_is_a_store_error(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        self._rewrite(tmp_path / f"{run_id}.json", manifest_digest="0" * 64)
+        with pytest.raises(StoreError, match=f"^run {run_id}: record manifest_digest does not match its report$"):
+            load_run(run_id, tmp_path)
 
 
 class TestStoreErrors:
