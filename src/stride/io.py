@@ -5,7 +5,9 @@ messages that name the offending field path (JSON syntax errors carry
 line and column instead).  Numbers must be finite: ``NaN`` and
 ``Infinity`` literals, and values beyond float range, are refused.
 Writers emit indented JSON whose floats round-trip exactly, so
-``parse(emit(x))`` reproduces ``x``.
+``parse(emit(x))`` reproduces ``x``.  :func:`report_to_json` fills a
+layout that the stdlib's indented encoder compiled once, on first use,
+for the report's shape; its bytes are those of that encoder.
 
 The manifest codec follows the :mod:`stride.model` dataclasses: its
 field names, nesting and types come from their fields, read once at
@@ -356,8 +358,114 @@ def report_to_dict(report: StrideReport) -> dict:
     }
 
 
+def _dump_report(document: dict) -> str:
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Compiled report layouts by sub-score count: (layout, shape) or None when
+# the document's keys defeat the placeholders.  Filled on first use.
+_REPORT_LAYOUTS: dict[int, tuple[str, object] | None] = {}
+
+
+class _Irregular(Exception):
+    """A report document that its compiled layout cannot render."""
+
+
+def _skeleton(node: object, leaves: list) -> tuple[object, object]:
+    """(copy of ``node`` with a numbered placeholder per leaf, its shape).
+
+    The shape of a dict is (its sorted keys, their shapes), of a list
+    (``None``, its items' shapes), and of a leaf ``None``.  Leaves are
+    numbered in sorted-key order, the order the encoder writes them.
+    """
+    if isinstance(node, dict):
+        keys = tuple(sorted(node))
+        pairs = [_skeleton(node[key], leaves) for key in keys]
+        return dict(zip(keys, (copy for copy, _ in pairs))), (keys, tuple(shape for _, shape in pairs))
+    if isinstance(node, list):
+        pairs = [_skeleton(item, leaves) for item in node]
+        return [copy for copy, _ in pairs], (None, tuple(shape for _, shape in pairs))
+    leaves.append(node)
+    return f"\x00{len(leaves) - 1}", None
+
+
+def _compile_report_layout(document: dict) -> tuple[str, object] | None:
+    """The stdlib's rendering of ``document`` with a ``%s`` slot per leaf, and its shape."""
+    leaves: list = []
+    copy, shape = _skeleton(document, leaves)
+    text = _dump_report(copy).replace("%", "%%")
+    placeholder = r'"\\u0000(\d+)"'
+    if re.findall(placeholder, text) != [str(n) for n in range(len(leaves))]:
+        return None  # a key spells a placeholder
+    return re.sub(placeholder, "%s", text), shape
+
+
+_encode_json_str = json.encoder.encode_basestring_ascii
+
+
+def _fill(shape: tuple, node: object, out: list) -> None:
+    """Append what fills each slot of ``node``'s layout, in ``shape``'s order.
+
+    That is each leaf's JSON text, or a plain finite float itself.
+    """
+    keys, subs = shape
+    if keys is None:
+        if not isinstance(node, list) or len(node) != len(subs):
+            raise _Irregular
+        values = node
+    else:
+        if not isinstance(node, dict) or len(node) != len(keys):
+            raise _Irregular
+        values = map(node.__getitem__, keys)
+    append = out.append
+    # The scalar dispatch of the stdlib's indented encoder with allow_nan=False,
+    # after a shortcut for plain finite floats: a ``%s`` slot renders those
+    # with ``float.__repr__`` itself.
+    for value, sub in zip(values, subs):
+        if sub is not None:
+            _fill(sub, value, out)
+        elif type(value) is float and math.isfinite(value):
+            append(value)
+        elif isinstance(value, str):
+            append(_encode_json_str(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float) and math.isfinite(value):
+            append(float.__repr__(value))
+        else:
+            raise _Irregular
+
+
 def report_to_json(report: StrideReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Indented report JSON, byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``.
+
+    The text is a layout that the stdlib encoder compiled once per
+    sub-score count, filled with each leaf rendered as that encoder
+    renders it.  A document the layout does not fit, or one holding a
+    non-finite float or a leaf that is not a JSON scalar, goes through
+    the stdlib encoder itself, so its errors are the stdlib's own.
+    """
+    document = report_to_dict(report)
+    count = len(document["sub_scores"])
+    if count not in _REPORT_LAYOUTS:
+        _REPORT_LAYOUTS[count] = _compile_report_layout(document)
+    compiled = _REPORT_LAYOUTS[count]
+    if compiled is not None:
+        layout, shape = compiled
+        leaves: list = []
+        try:
+            _fill(shape, document, leaves)
+        except (_Irregular, KeyError):
+            pass
+        else:
+            return layout % tuple(leaves)
+    return _dump_report(document)
 
 
 def report_from_dict(document: dict, path: str = "report") -> StrideReport:
@@ -443,6 +551,14 @@ def _coerce_csv_cell(text: str) -> object:
     return cell
 
 
+def _criterion_cell(value: object, path: str, key: str) -> object:
+    """A population value; a number must be finite and within float range."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+        raise SchemaError(f"{path}.{key}: criterion {key!r}: numeric values must be finite")
+    return value
+
+
 def _population_from_json(text: str) -> list[PopulationRecord]:
     from .sampling import PopulationRecord
 
@@ -459,7 +575,7 @@ def _population_from_json(text: str) -> list[PopulationRecord]:
             if isinstance(value, list):
                 criteria[key] = tuple(_as_str(v, f"{value_path}[{i}]") for i, v in enumerate(value))
             elif isinstance(value, (bool, int, float, str)):
-                criteria[key] = value
+                criteria[key] = _criterion_cell(value, path, key)
             else:
                 raise SchemaError(f"{value_path}: unsupported value type {type(value).__name__}")
         records.append(PopulationRecord(record_id=record_id, criteria=criteria))
@@ -478,11 +594,14 @@ def _population_from_csv(text: str) -> list[PopulationRecord]:
         raise SchemaError("population: CSV must have a record_id column")
     records = []
     for index, row in enumerate(reader):
+        path = f"population[{index}]"
         record_id = (row.get("record_id") or "").strip()
         if not record_id:
-            raise SchemaError(f"population[{index}].record_id: missing value")
+            raise SchemaError(f"{path}.record_id: missing value")
+        if None in row:  # DictReader files surplus cells under None
+            raise SchemaError(f"{path}: {len(row[None])} more cell(s) than header columns")
         criteria = {
-            key: _coerce_csv_cell(value if value is not None else "")
+            key: _criterion_cell(_coerce_csv_cell(value if value is not None else ""), path, key)
             for key, value in row.items()
             if key != "record_id"
         }

@@ -21,7 +21,7 @@ report holding NaN or an infinity, before anything is written.  A record
 that cannot be read or decoded, including one holding NaN, an infinity
 or a number beyond float range, is a store fault too: loading it raises
 :class:`StoreError`, and so does a record whose envelope fields are not
-strings or whose manifest digest contradicts its report.
+strings or whose manifest or config digest contradicts its report.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
     """Load a stored run, verifying its content against its id.
 
     The envelope is checked too: the timestamp and both digests must be
-    strings, and the manifest digest must be the verified report's own.
-    The config digest is only type-checked, so loading computes no digest
-    beyond the id's.
+    strings, the manifest digest must be the verified report's own, and
+    the config digest must be the content digest of the report's config,
+    as :func:`save_run` computes it.
     """
     store = Path(store_path)
     full_id = resolve_run_id(run_id, store)
@@ -188,6 +188,8 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
         raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
     if raw["manifest_digest"] != report.manifest_digest:
         raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
+    if raw["config_digest"] != content_digest(raw["report"]["config"]):
+        raise StoreError(f"run {full_id}: record config_digest does not match its report")
     return RunRecord(
         run_id=raw["run_id"],
         timestamp=raw["timestamp"],

@@ -225,6 +225,19 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err == f"error: run {run_id}: {reason}\n"
 
+    def test_record_with_a_rewritten_config_digest_exits_3(self, store, manifest_file, capsys):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        raw = json.loads(path.read_text())
+        raw["config_digest"] = "not checked"
+        path.write_text(json.dumps(raw))
+        exit_code = main(["explain", "--run", run_id])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: run {run_id}: record config_digest does not match its report\n"
+
 
 class TestValidate:
     def test_clean_manifest_reports_ok(self, manifest_file, capsys):
@@ -361,6 +374,24 @@ class TestSample:
             assert captured.out == ""
             assert "criterion 'size': numeric values must be finite" in captured.err
             assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("column", ["size", "note"], ids=["used", "unused"])
+    def test_non_finite_csv_cell_exits_2_at_decode(self, tmp_path, capsys, cell, column):
+        rows = ["record_id,region,size,note"] + [f"r{i},{'apac' if i % 2 else 'emea'},{i}.5,{i}" for i in range(20)]
+        rows[7] = f"r6,emea,{cell if column == 'size' else '6.5'},{cell if column == 'note' else '6'}"
+        path = tmp_path / "population.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        commands = [
+            ["sample", "select", "--population", str(path), "--k", "5", "--seed", "1", "--criteria", "region,size"],
+            ["sample", "curve", "--population", str(path), "--criterion", "size", "--sizes", "5,10", "--seed", "1"],
+        ]
+        for argv in commands:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = f"population[6].{column}: criterion '{column}': numeric values must be finite"
+            assert captured.err == f"error: {message}\n"
 
     def test_select_with_a_non_finite_deviation_exits_3(self, population_file, capsys, monkeypatch):
         import dataclasses

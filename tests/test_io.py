@@ -248,6 +248,28 @@ class TestPopulationParsing:
         with pytest.raises(SchemaError, match="unsupported value type"):
             parse_population(text, "population.json")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e999", str(10**400)])
+    def test_csv_non_finite_cell_is_rejected_at_decode(self, cell):
+        text = f"record_id,region,unused\nr1,apac,1.5\nr2,emea,{cell}\n"
+        message = r"^population\[1\]\.unused: criterion 'unused': numeric values must be finite$"
+        with pytest.raises(SchemaError, match=message):
+            parse_population(text, "population.csv")
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", str(10**400)])
+    def test_json_number_beyond_float_range_is_rejected_at_decode(self, number):
+        text = f'[{{"record_id": "r1", "region": "apac", "unused": {number}}}]'
+        message = r"^population\[0\]\.unused: criterion 'unused': numeric values must be finite$"
+        with pytest.raises(SchemaError, match=message):
+            parse_population(text, "population.json")
+
+    def test_csv_words_that_are_not_numbers_stay_text(self):
+        text = "record_id,label\nr1,nano\nr2,infinite\nr3,1e308\n"
+        assert [r.criteria["label"] for r in parse_population(text, "population.csv")] == ["nano", "infinite", 1e308]
+
+    def test_csv_row_with_surplus_cells_is_rejected(self):
+        with pytest.raises(SchemaError, match=r"^population\[1\]: 2 more cell\(s\) than header columns$"):
+            parse_population("record_id,region\nr1,apac\nr2,emea,x,y\n", "population.csv")
+
 
 class TestRatingAndAnnotationParsing:
     def test_rating_record_fields(self, luxshare_baseline):

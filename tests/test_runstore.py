@@ -230,6 +230,18 @@ class TestRecordEnvelope:
         with pytest.raises(StoreError, match=f"^run {run_id}: record manifest_digest does not match its report$"):
             load_run(run_id, tmp_path)
 
+    @pytest.mark.parametrize("value", ["not checked", "0" * 64, ""])
+    def test_config_digest_contradicting_the_report_is_a_store_error(self, report, tmp_path, value):
+        run_id = save_run(report, tmp_path)
+        self._rewrite(tmp_path / f"{run_id}.json", config_digest=value)
+        with pytest.raises(StoreError, match=f"^run {run_id}: record config_digest does not match its report$"):
+            load_run(run_id, tmp_path)
+
+    def test_config_digest_is_the_digest_of_the_stored_config(self, report, tmp_path):
+        run_id = save_run(report, tmp_path)
+        raw = json.loads((tmp_path / f"{run_id}.json").read_text(encoding="utf-8"))
+        assert load_run(run_id, tmp_path).config_digest == raw["config_digest"] == content_digest(raw["report"]["config"])
+
 
 class TestStoreErrors:
     def test_store_under_a_file_is_a_store_error(self, report, tmp_path):
