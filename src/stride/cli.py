@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 def _read_text(path: str, label: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {label} file {path!r}: {exc}") from None
 
 

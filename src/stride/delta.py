@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import Mapping, Sequence
@@ -61,7 +61,7 @@ class IssueScore:
     score: float
     scale_min: float
     scale_max: float
-    methodology_citation: str = ""
+    methodology_citation: str = field(default="", metadata={"omittable": True})
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class Annotation:
 
     category: DiscrepancyCategory
     adjustment: Interval
-    evidence_refs: tuple[str, ...] = ()
-    narrative: str = ""
+    evidence_refs: tuple[str, ...] = field(default=(), metadata={"key": "evidence", "omittable": True})
+    narrative: str = field(default="", metadata={"omittable": True})
     stride_assessment: Interval | None = None  # overrides the point score on display
 
 

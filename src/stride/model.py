@@ -270,7 +270,7 @@ class StrideReport:
     sub_scores: tuple[SubScore, ...]
     component_scores: Mapping[ComponentId, float]
     trust: float
-    config_snapshot: WeightConfig
+    config_snapshot: WeightConfig = field(metadata={"key": "config"})  # its document key
     manifest_digest: str
 
     def sub_score(self, metric_id: MetricId) -> SubScore:

@@ -541,3 +541,52 @@ class TestDeeplyNestedJson:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read run record {run_id}.json: maximum recursion depth exceeded")
+
+
+class TestIssueScoreKeys:
+    def test_an_unknown_issue_score_key_exits_2(self, tmp_path, capsys):
+        document = json.loads(_rating({"pay": 1.0}, (0.0, 5.0)))
+        document["issue_scores"]["pay"]["scroe"] = 99
+        (tmp_path / "base.json").write_text(json.dumps(document))
+        (tmp_path / "ours.json").write_text(_rating({"pay": 2.0}, (0.0, 5.0)))
+        argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: baseline.issue_scores['pay']: unknown field(s) scroe\n"
+
+
+SAMPLE_COMMANDS = {
+    "select": ["sample", "select", "--k", "2", "--seed", "0"],
+    "curve": ["sample", "curve", "--criterion", "region", "--sizes", "2", "--seed", "0"],
+}
+
+
+class TestPopulationIdentity:
+    @pytest.mark.parametrize("command", SAMPLE_COMMANDS)
+    @pytest.mark.parametrize(
+        ("header", "column"),
+        [("record_id,region,region", "region"), ("record_id,region,record_id", "record_id")],
+        ids=["criterion", "record_id"],
+    )
+    def test_a_repeated_csv_column_exits_2(self, tmp_path, capsys, command, header, column):
+        path = tmp_path / "population.csv"
+        path.write_text(header + "\n" + "".join(f"r{i},apac,x{i}\n" for i in range(4)), encoding="utf-8")
+        assert main(SAMPLE_COMMANDS[command] + ["--population", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: population: CSV header repeats column {column!r}\n"
+
+    @pytest.mark.parametrize("command", SAMPLE_COMMANDS)
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_a_duplicate_record_id_exits_2(self, tmp_path, capsys, command, suffix):
+        rows = [("r1", "apac"), ("r1", "emea"), ("r2", "apac"), ("r3", "emea")]
+        path = tmp_path / f"population{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps([{"record_id": rid, "region": region} for rid, region in rows]))
+        else:
+            path.write_text("record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows))
+        assert main(SAMPLE_COMMANDS[command] + ["--population", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: population[1].record_id: duplicate id 'r1'\n"

@@ -31,6 +31,7 @@ import pytest
 
 import codec_oracle as oracle
 from manifest_factory import random_manifest
+from mutants import at, drop, mutant, trails
 from stride.errors import ComputationError, SchemaError, StoreError
 from stride.fixtures import fixture_text
 from stride.io import decode_manifest, manifest_to_dict
@@ -41,6 +42,10 @@ from stride.scoring import score_dataset
 DOCUMENTS = ["fixture"] + [f"seed-{seed}" for seed in range(60)]
 # About 350 mutants each; twenty seeds see every optional section both present and absent.
 MUTATED = DOCUMENTS[:21]
+# Mutants per document, as many as when each differential wrote out its own helpers.
+MUTANT_COUNTS = dict(
+    zip(MUTATED, [292, 358, 363, 414, 417, 342, 337, 379, 321, 322, 314, 343, 453, 403, 413, 321, 369, 378, 307, 372, 439])
+)
 RETYPED = ("text", True, [], {}, None)
 
 
@@ -54,38 +59,18 @@ def _document(name: str) -> dict:
     return oracle.manifest_to_dict(_manifest(name))
 
 
-def _trails(node: object, trail: tuple = ()):
-    """The key trail to every value inside ``node``, at every depth."""
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield trail + (key,), child
-        yield from _trails(child, trail + (key,))
-
-
-def _at(document: dict, trail: tuple) -> object:
-    for key in trail:
-        document = document[key]
-    return document
-
-
-def _mutant(document: dict, trail: tuple, change) -> dict:
-    mutated = copy.deepcopy(document)
-    change(_at(mutated, trail[:-1]), trail[-1])
-    return mutated
-
-
 def _mutants(document: dict):
     """Every single-fault mutation of ``document``."""
-    yield _mutant(document, ("unknown",), lambda root, key: root.__setitem__(key, 1))
-    for trail, value in _trails(document):
+    yield mutant(document, ("unknown",), lambda root, key: root.__setitem__(key, 1))
+    for trail, value in trails(document):
         if isinstance(trail[-1], str):
-            yield _mutant(document, trail, lambda parent, key: parent.pop(key))
+            yield mutant(document, trail, drop)
         for retyped in RETYPED:
-            yield _mutant(document, trail, lambda parent, key: parent.__setitem__(key, copy.copy(retyped)))
+            yield mutant(document, trail, lambda parent, key: parent.__setitem__(key, copy.copy(retyped)))
         if isinstance(value, dict):
-            yield _mutant(document, trail + ("unknown",), lambda parent, key: parent.__setitem__(key, 1))
+            yield mutant(document, trail + ("unknown",), lambda parent, key: parent.__setitem__(key, 1))
         if isinstance(value, list) and value:
-            yield _mutant(document, trail, lambda parent, key: parent.__setitem__(key, []))
+            yield mutant(document, trail, lambda parent, key: parent.__setitem__(key, []))
 
 
 def _decode_like_the_oracle(text: str):
@@ -128,13 +113,15 @@ def test_codec_matches_the_oracle(name):
 @pytest.mark.parametrize("name", MUTATED)
 def test_single_fault_mutants_decode_like_the_oracle(name, tmp_path):
     document = _document(name)
-    accepted = 0
+    accepted = count = 0
     for mutated in _mutants(document):
+        count += 1
         manifest = _decode_like_the_oracle(json.dumps(mutated))
         if manifest is not None:
             accepted += 1
             _score_save_load(manifest, tmp_path)
     assert accepted > 0
+    assert count == MUTANT_COUNTS[name]
 
 
 def _dotted(trail: tuple) -> str:
@@ -143,7 +130,7 @@ def _dotted(trail: tuple) -> str:
 
 
 def _numeric_trails(document: dict):
-    for trail, value in _trails(document):
+    for trail, value in trails(document):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             yield trail
 
@@ -155,7 +142,7 @@ POISON_DOCUMENTS = ["fixture", "seed-10"]
 
 def _poisoned(document: dict, trail: tuple, literal: str) -> tuple[str, int]:
     """The document text with ``literal`` at ``trail``, and the column it starts at."""
-    text = json.dumps(_mutant(document, trail, lambda parent, key: parent.__setitem__(key, "__poison__")))
+    text = json.dumps(mutant(document, trail, lambda parent, key: parent.__setitem__(key, "__poison__")))
     return text.replace('"__poison__"', literal), text.index('"__poison__"') + 1
 
 
@@ -178,7 +165,7 @@ def test_non_finite_literals_are_refused_where_they_stand(name, literal):
 def test_numbers_beyond_float_range_name_the_field(name, number):
     document = _document(name)
     for trail in _numeric_trails(document):
-        if isinstance(_at(document, trail), int) and "e" in number:
+        if isinstance(at(document, trail), int) and "e" in number:
             reason = "expected an integer, got float"
         else:
             reason = "expected a finite number within float range"

@@ -25,6 +25,7 @@ import pytest
 
 import report_codec_oracle as oracle
 from manifest_factory import random_manifest, skewed_config
+from mutants import drop, mutant, set_to, trails
 from stride.errors import SchemaError
 from stride.fixtures import fixture_text
 from stride.io import parse_manifest, report_from_dict, report_to_dict, weight_config_from_obj, weight_config_to_dict
@@ -34,6 +35,9 @@ from stride.scoring import score_dataset
 CONFIGS = {"equal": equal_weight_config, "skewed": skewed_config}
 DOCUMENTS = [(config, name) for config in CONFIGS for name in ["fixture", "seed-0", "seed-1", "seed-2"]]
 RETYPED = ("text", True, 0, -1.0, [], {}, None)
+# Mutants per document, as many as when each differential wrote out its own helpers.
+MUTANT_COUNTS = dict(zip(DOCUMENTS, [946, 947, 948, 949, 945, 945, 945, 946]))
+CONFIG_MUTANT_COUNT = 296
 
 
 def _report(config: str, name: str):
@@ -44,48 +48,24 @@ def _report(config: str, name: str):
     return score_dataset(manifest, CONFIGS[config]())
 
 
-def _trails(node: object, trail: tuple = ()):
-    """The key trail to every value inside ``node``, at every depth."""
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield trail + (key,), child
-        yield from _trails(child, trail + (key,))
-
-
-def _at(document: dict, trail: tuple) -> object:
-    for key in trail:
-        document = document[key]
-    return document
-
-
-def _mutant(document: dict, trail: tuple, change) -> dict:
-    mutated = copy.deepcopy(document)
-    change(_at(mutated, trail[:-1]), trail[-1])
-    return mutated
-
-
-def _set(value):
-    return lambda parent, key: parent.__setitem__(key, copy.deepcopy(value))
-
-
 def _mutants(document: dict):
     """Every single-fault mutation of a report document."""
-    yield _mutant(document, ("unknown",), _set(1))
-    for trail, value in _trails(document):
+    yield mutant(document, ("unknown",), set_to(1))
+    for trail, value in trails(document):
         if isinstance(trail[-1], str):
-            yield _mutant(document, trail, lambda parent, key: parent.pop(key))
+            yield mutant(document, trail, drop)
         for retyped in RETYPED:
-            yield _mutant(document, trail, _set(retyped))
+            yield mutant(document, trail, set_to(retyped))
         if isinstance(value, dict):
-            yield _mutant(document, trail + ("unknown",), _set(1))
+            yield mutant(document, trail + ("unknown",), set_to(1))
     subs = document["sub_scores"]
     for index, entry in enumerate(subs):
-        yield _mutant(document, ("sub_scores", index, "metric_id"), _set("XX"))
-        yield _mutant(document, ("sub_scores", index, "metric_id"), _set(subs[index - 1]["metric_id"]))
-        yield _mutant(document, ("sub_scores",), lambda parent, key, entry=entry: parent[key].append(copy.deepcopy(entry)))
+        yield mutant(document, ("sub_scores", index, "metric_id"), set_to("XX"))
+        yield mutant(document, ("sub_scores", index, "metric_id"), set_to(subs[index - 1]["metric_id"]))
+        yield mutant(document, ("sub_scores",), lambda parent, key, entry=entry: parent[key].append(copy.deepcopy(entry)))
         if entry["applicable"]:
-            yield _mutant(document, ("sub_scores", index, "applicable"), _set(False))
-    yield _mutant(document, ("config", "applicability", "XX"), _set(True))
+            yield mutant(document, ("sub_scores", index, "applicable"), set_to(False))
+    yield mutant(document, ("config", "applicability", "XX"), set_to(True))
 
 
 def _decode_like_the_oracle(document: dict) -> None:
@@ -120,6 +100,7 @@ def test_single_fault_report_mutants_decode_like_the_oracle(config, name):
         _decode_like_the_oracle(mutated)
         count += 1
     assert count > 100
+    assert count == MUTANT_COUNTS[config, name]
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -128,7 +109,9 @@ def test_weight_config_codec_matches_the_oracle(config):
     document = weight_config_to_dict(normalised)
     assert json.dumps(document, sort_keys=True) == json.dumps(oracle.weight_config_to_dict(normalised), sort_keys=True)
     assert weight_config_from_obj("equal") == oracle.weight_config_from_obj("equal")
-    for mutated in [document, *_config_mutants(document)]:
+    mutated_documents = list(_config_mutants(document))
+    assert len(mutated_documents) == CONFIG_MUTANT_COUNT
+    for mutated in [document, *mutated_documents]:
         try:
             expected = oracle.weight_config_from_obj(copy.deepcopy(mutated))
         except SchemaError as exc:
@@ -141,12 +124,12 @@ def test_weight_config_codec_matches_the_oracle(config):
 
 def _config_mutants(document: dict):
     """Single faults of a config document, plus every component made inapplicable or weightless."""
-    yield from (_mutant(document, trail, _set(retyped)) for trail, _ in _trails(document) for retyped in RETYPED)
-    yield from (_mutant(document, trail, lambda parent, key: parent.pop(key)) for trail, _ in _trails(document))
+    yield from (mutant(document, trail, set_to(retyped)) for trail, _ in trails(document) for retyped in RETYPED)
+    yield from (mutant(document, trail, drop) for trail, _ in trails(document))
     for group, members in document.items():
         if group in ("alpha", "applicability"):
             continue
-        yield _mutant(document, (group,), _set({code: 0.0 for code in members}))
-        yield _mutant(
+        yield mutant(document, (group,), set_to({code: 0.0 for code in members}))
+        yield mutant(
             document, ("applicability",), lambda parent, key, members=members: parent[key].update(dict.fromkeys(members, False))
         )
