@@ -349,20 +349,29 @@ _WEIGHT_FIELDS = [
 ]
 
 
-def weight_config_from_obj(obj: object) -> WeightConfig:
-    """Decode and normalise an already-parsed weight configuration document."""
+def weight_config_from_obj(obj: object, path: str = "") -> WeightConfig:
+    """Decode and normalise an already-parsed weight configuration document.
+
+    ``path`` locates a config inside another document (``report.config``);
+    every message then starts with it.
+    """
     if obj == "equal":
         return equal_weight_config()
-    fields = _walk(_WEIGHT_FIELDS, obj, "weights", "")
+    prefix = path + "." if path else ""
+    fields = _walk(_WEIGHT_FIELDS, obj, path or "weights", prefix)
     weights = {metric: weight for group in _WEIGHT_GROUPS for metric, weight in fields[group].items()}
     applicability = fields.get("applicability") or dict.fromkeys(_METRIC_CODE, True)
-    return validate_weight_config(
-        WeightConfig(alpha=tuple(fields["alpha"].values()), weights=weights, applicability=applicability)
-    )
+    try:
+        return validate_weight_config(
+            WeightConfig(alpha=tuple(fields["alpha"].values()), weights=weights, applicability=applicability)
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{prefix}{exc}") from None
 
 
-# Inside a report, the config must be an object: ``equal`` is not expanded there.
-_DECODERS[WeightConfig] = lambda value, path: weight_config_from_obj(_obj(value, path))
+# Inside a report, the config must be an object: ``equal`` is not expanded
+# there.  Its messages name the report: ``report.config.alpha.C: ...``.
+_DECODERS[WeightConfig] = lambda value, path: weight_config_from_obj(_obj(value, path), path)
 
 
 def weight_config_to_dict(config: WeightConfig) -> dict:
@@ -590,6 +599,8 @@ def _population_from_json(text: str) -> list[PopulationRecord]:
         path = f"population[{index}]"
         record_obj = dict(_obj(entry, path))
         record_id = _as_str(_take(record_obj, "record_id", path), f"{path}.record_id")
+        if not record_id.strip():  # as in CSV, where an id is stripped; a JSON id is kept as written
+            raise SchemaError(f"{path}.record_id: missing value")
         criteria: dict[str, object] = {}
         for key, value in record_obj.items():
             value_path = f"{path}.{key}"

@@ -7,6 +7,10 @@ criteria are counted per mention.  Distributions over the same category
 list are compared with the Jensen-Shannon divergence in base 2, which
 lives in [0, 1].
 
+Each call reads and bins a criterion's column once, then works on the
+records' category indices.  The saturation curve draws positions in
+that index list, so its draws are those of drawing the records.
+
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
 return the same result.
@@ -89,99 +93,108 @@ def _bool_label(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _criterion_values(records: Sequence[PopulationRecord], criterion: str) -> list[object]:
-    values = []
-    for record in records:
-        if criterion not in record.criteria:
-            raise SchemaError(f"record {record.record_id!r}: missing criterion {criterion!r}")
-        values.append(record.criteria[criterion])
-    return values
+def _column(records: Sequence[PopulationRecord], criterion: str) -> list[object]:
+    """``criterion``'s value in every record, refusing the first record without one."""
+    try:
+        return [record.criteria[criterion] for record in records]
+    except KeyError:
+        missing = next(record for record in records if criterion not in record.criteria)
+        raise SchemaError(f"record {missing.record_id!r}: missing criterion {criterion!r}") from None
 
 
-def _build_binning(records: Sequence[PopulationRecord], criterion: str, bins: int) -> _Binning:
+def _kind(value_type: type) -> str | None:
+    if issubclass(value_type, (bool, str)):
+        return "categorical"
+    if issubclass(value_type, (int, float)):
+        return "numeric"
+    if issubclass(value_type, (list, tuple, set, frozenset)):
+        return "multilabel"
+    return None  # unsupported
+
+
+def _bin_column(records: Sequence[PopulationRecord], criterion: str, bins: int) -> tuple[_Binning, list]:
+    """``criterion``'s binning over ``records`` and each record's category index, from one read of the values.
+
+    An index is an int for categorical and numeric criteria and a tuple,
+    one index per mention, for multilabel ones.
+    """
     if not records:
         raise SchemaError("population is empty")
-    values = _criterion_values(records, criterion)
-
-    kinds = set()
-    for value in values:
-        if isinstance(value, bool) or isinstance(value, str):
-            kinds.add("categorical")
-        elif isinstance(value, (int, float)):
-            kinds.add("numeric")
-        elif isinstance(value, (list, tuple, set, frozenset)):
-            kinds.add("multilabel")
-        else:
-            raise SchemaError(f"criterion {criterion!r}: unsupported value type {type(value).__name__}")
-    if len(kinds) != 1:
-        raise SchemaError(f"criterion {criterion!r}: mixed value types {sorted(kinds)}")
-    kind = kinds.pop()
+    values = _column(records, criterion)
+    kinds = {value_type: _kind(value_type) for value_type in set(map(type, values))}
+    if None in kinds.values():
+        first = next(value for value in values if kinds[type(value)] is None)
+        raise SchemaError(f"criterion {criterion!r}: unsupported value type {type(first).__name__}")
+    if len(set(kinds.values())) != 1:
+        raise SchemaError(f"criterion {criterion!r}: mixed value types {sorted(set(kinds.values()))}")
+    kind = next(iter(kinds.values()))
 
     if kind == "categorical":
-        labels = {_bool_label(v) if isinstance(v, bool) else v for v in values}
-        return _Binning("categorical", tuple(sorted(labels)))
-
-    if kind == "multilabel":
-        labels = set()
-        for value in values:
-            for element in value:
-                if not isinstance(element, str):
-                    raise SchemaError(f"criterion {criterion!r}: list values must contain strings")
-                labels.add(element)
+        labels = {_bool_label(v) if isinstance(v, bool) else v for v in set(values)}
+        binning = _Binning("categorical", tuple(sorted(labels)))
+    elif kind == "multilabel":
+        try:
+            labels = set(chain.from_iterable(values))
+        except TypeError:  # an unhashable element, so not a string
+            labels = None
+        if labels is None or not all(isinstance(label, str) for label in labels):
+            raise SchemaError(f"criterion {criterion!r}: list values must contain strings")
         if not labels:
             raise SchemaError(f"criterion {criterion!r}: no labels to count")
-        return _Binning("multilabel", tuple(sorted(labels)))
-
-    if bins < 2:
-        raise SchemaError(f"criterion {criterion!r}: numeric binning needs at least 2 bins")
-    try:
-        numbers = [float(v) for v in values]
-    except OverflowError:  # an integer too large for a float
-        numbers = [math.inf]
-    if not all(map(math.isfinite, numbers)):
-        raise SchemaError(f"criterion {criterion!r}: numeric values must be finite (no NaN or infinity)")
-    if len(numbers) >= 2:
-        breakpoints = tuple(statistics.quantiles(numbers, n=bins, method="inclusive"))
+        binning = _Binning("multilabel", tuple(sorted(labels)))
     else:
-        breakpoints = ()
-    width = len(str(len(breakpoints) + 1))
-    categories = tuple(f"bin{i + 1:0{width}d}" for i in range(len(breakpoints) + 1))
-    return _Binning("numeric", categories, breakpoints)
+        if bins < 2:
+            raise SchemaError(f"criterion {criterion!r}: numeric binning needs at least 2 bins")
+        try:  # the indices are bisected from this list, the one the quantiles come from
+            values = list(map(float, values))
+        except OverflowError:  # an integer too large for a float
+            values = [math.inf]
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"criterion {criterion!r}: numeric values must be finite (no NaN or infinity)")
+        if len(values) >= 2:
+            breakpoints = tuple(statistics.quantiles(values, n=bins, method="inclusive"))
+        else:
+            breakpoints = ()
+        width = len(str(len(breakpoints) + 1))
+        categories = tuple(f"bin{i + 1:0{width}d}" for i in range(len(breakpoints) + 1))
+        binning = _Binning("numeric", categories, breakpoints)
+    return binning, _indices(values, criterion, binning)
 
 
-def _category_indices(record: PopulationRecord, criterion: str, binning: _Binning) -> tuple[int, ...]:
-    value = record.criteria[criterion]
+def _indices(values: Sequence[object], criterion: str, binning: _Binning) -> list:
+    """Each value's category index under ``binning``, as :func:`_bin_column` returns them."""
     if binning.kind == "numeric":
-        return (bisect.bisect_right(binning.breakpoints, float(value)),)
+        breakpoints = binning.breakpoints
+        return [bisect.bisect_right(breakpoints, number) for number in map(float, values)]
     if binning.kind == "multilabel":
-        labels = tuple(value)
-    else:
-        labels = (_bool_label(value) if isinstance(value, bool) else value,)
+        return [tuple(_label_indices(value, criterion, binning)) for value in values]
+    return _label_indices((_bool_label(v) if isinstance(v, bool) else v for v in values), criterion, binning)
+
+
+def _label_indices(labels: Iterable[object], criterion: str, binning: _Binning) -> list[int]:
+    positions = binning.positions
     indices = []
     for label in labels:
         try:
-            indices.append(binning.positions[label])
+            indices.append(positions[label])
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise SchemaError(f"criterion {criterion!r}: label {label!r} outside the population") from None
-    return tuple(indices)
+    return indices
 
 
-def _distribution_of(
-    record_cats: Iterable[tuple[int, ...]], criterion: str, binning: _Binning
-) -> Distribution:
-    # ``record_cats`` holds one ``_category_indices`` tuple per record.
-    tally = Counter(chain.from_iterable(record_cats))
-    counts = [tally[index] for index in range(len(binning.categories))]
+def _tally(indices: Sequence, criterion: str, binning: _Binning) -> tuple[list[int], int]:
+    """Per-category counts of ``indices`` (as :func:`_bin_column` returns them) and their total."""
+    tally = Counter(chain.from_iterable(indices) if binning.kind == "multilabel" else indices)
+    counts = [tally.get(index, 0) for index in range(len(binning.categories))]
     total = sum(counts)
     if total == 0:
         raise SchemaError(f"criterion {criterion!r}: no values to count")
+    return counts, total
+
+
+def _distribution_of(indices: Sequence, criterion: str, binning: _Binning) -> Distribution:
+    counts, total = _tally(indices, criterion, binning)
     return Distribution(criterion, binning.categories, tuple(c / total for c in counts))
-
-
-def _distribution_under(
-    records: Sequence[PopulationRecord], criterion: str, binning: _Binning
-) -> Distribution:
-    return _distribution_of((_category_indices(r, criterion, binning) for r in records), criterion, binning)
 
 
 def categorical_distribution(
@@ -192,8 +205,8 @@ def categorical_distribution(
     Numeric criteria are quantile-binned into ``bins`` categories using
     breakpoints computed from ``records`` themselves.
     """
-    binning = _build_binning(records, criterion, bins)
-    return _distribution_under(records, criterion, binning)
+    binning, indices = _bin_column(records, criterion, bins)
+    return _distribution_of(indices, criterion, binning)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +249,7 @@ def js_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _jsd_from_counts(counts: Sequence[int], total: int, q_probs: Sequence[float]) -> float:
-    # Index-aligned fast path used by the swap search.
+    # Index-aligned fast path used by the saturation curve.
     value = 0.0
     for count, q_i in zip(counts, q_probs):
         value += _jsd_terms(count / total, q_i)
@@ -270,18 +283,19 @@ def saturation_curve(
     One point per requested size, drawn sequentially from a single seeded
     generator, so the whole curve is deterministic for a fixed seed.
     """
-    binning = _build_binning(population, criterion, bins)
-    record_cats = [_category_indices(record, criterion, binning) for record in population]
-    population_dist = _distribution_of(record_cats, criterion, binning)
+    binning, indices = _bin_column(population, criterion, bins)
+    population_probs = _distribution_of(indices, criterion, binning).probabilities
     rng = random.Random(seed)
     points = []
     for size in sizes:
         if not 0 < size <= len(population):
             raise ComputationError(f"sample size {size} outside [1, {len(population)}]")
-        # random.sample picks by position only, so drawing from the binned
-        # records uses the generator exactly as drawing the records would.
-        sample_dist = _distribution_of(rng.sample(record_cats, size), criterion, binning)
-        points.append(SaturationPoint(size, js_divergence(sample_dist, population_dist)))
+        # random.sample picks by position only, so drawing from the indices
+        # uses the generator exactly as drawing the records would.  The
+        # categories are in sorted-label order, so the divergence adds the
+        # terms of js_divergence(sample, population) in the same order.
+        counts, total = _tally(rng.sample(indices, size), criterion, binning)
+        points.append(SaturationPoint(size, _jsd_from_counts(counts, total, population_probs)))
     return tuple(points)
 
 
@@ -298,9 +312,9 @@ def aggregate_divergence(
         raise SchemaError("sample is empty")
     total = 0.0
     for criterion in criteria:
-        binning = _build_binning(population, criterion, bins)
-        population_dist = _distribution_under(population, criterion, binning)
-        sample_dist = _distribution_under(sample, criterion, binning)
+        binning, indices = _bin_column(population, criterion, bins)
+        population_dist = _distribution_of(indices, criterion, binning)
+        sample_dist = _distribution_of(_indices(_column(sample, criterion), criterion, binning), criterion, binning)
         total += js_divergence(sample_dist, population_dist)
     return total
 
@@ -338,19 +352,22 @@ def select_representative_sample(
     if max_swaps is not None and max_swaps < 0:
         raise SchemaError(f"max_swaps must be >= 0, got {max_swaps}")
 
-    binnings = [_build_binning(population, criterion, bins) for criterion in criteria]
-    signatures = [
-        tuple(_category_indices(record, criterion, binning) for criterion, binning in zip(criteria, binnings))
-        for record in population
-    ]
+    columns = [_bin_column(population, criterion, bins) for criterion in criteria]
     population_probs = [
-        _distribution_of((signature[c] for signature in signatures), criterion, binning).probabilities
-        for c, (criterion, binning) in enumerate(zip(criteria, binnings))
+        _distribution_of(indices, criterion, binning).probabilities
+        for criterion, (binning, indices) in zip(criteria, columns)
     ]
+    # The search counts per mention, so a single index becomes a 1-tuple.
+    signatures = list(
+        zip(*(indices if binning.kind == "multilabel" else [(i,) for i in indices] for binning, indices in columns))
+    )
 
     slices = range(len(criteria))
-    counts = [[0] * len(binning.categories) for binning in binnings]
+    counts = [[0] * len(binning.categories) for binning, _ in columns]
     totals = [0] * len(criteria)
+    # Per-bin terms, bin_terms[c][subset total][bin][count]: a term depends on
+    # nothing else, so the memo is kept across scans and filled as trials meet it.
+    bin_terms: list[dict[int, list[dict[int, float]]]] = [{} for _ in slices]
 
     def move(signature: tuple[tuple[int, ...], ...], sign: int) -> None:
         for c in slices:
@@ -368,7 +385,17 @@ def select_representative_sample(
         total = totals[c] - len(removed) + len(added)
         if total == 0:
             return 1.0  # nothing to count on this slice: maximally divergent
-        return _jsd_from_counts(trial_counts, total, population_probs[c])
+        known = bin_terms[c].get(total)
+        if known is None:
+            known = bin_terms[c][total] = [{} for _ in trial_counts]
+        # The terms of _jsd_from_counts, added in bin order, so the sum is the same float.
+        value = 0.0
+        for count, by_count, q_i in zip(trial_counts, known, population_probs[c]):
+            bin_term = by_count.get(count)
+            if bin_term is None:
+                bin_term = by_count[count] = _jsd_terms(count / total, q_i)
+            value += bin_term
+        return min(1.0, max(0.0, value))
 
     rng = random.Random(seed)
     chosen = set(rng.sample(range(n), k))

@@ -3,11 +3,15 @@
 Each record is built from ``bench/run.py`` result lines.  It must parse,
 and name only workloads and metrics that ``BENCHMARK.json`` declares, so
 that a record can always be read against the benchmark it came from.
+Its summaries must follow from the per-seed runs it lists: one run per
+seed and side, the median and inclusive quartiles of each side, and the
+count of pairs in which the change ran lower.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,21 @@ def test_record_names_only_declared_workloads_and_metrics(path):
             for side in ("parent", "change"):
                 assert set(summary[side]) == {"median", "q1", "q3"}
                 assert summary[side]["q1"] <= summary[side]["median"] <= summary[side]["q3"]
+            _assert_summaries_follow_from_runs(path.name, name, metric, workload["seeds"], summary)
     for name, trace in record.get("traces", {}).items():
         assert name in workloads
         assert set(trace["metrics"]) <= metrics, f"{path.name}: undeclared trace metric in {name}"
+
+
+def _assert_summaries_follow_from_runs(record: str, workload: str, metric: str, seeds: list, summary: dict) -> None:
+    where = f"{record}: {workload}.{metric}"
+    runs = summary["runs"]
+    for side in ("parent", "change"):
+        assert len(runs[side]) == len(seeds), f"{where}: not one {side} run per seed"
+        q1, median, q3 = statistics.quantiles(runs[side], n=4, method="inclusive")
+        assert summary[side]["median"] == pytest.approx(median, abs=1e-6), where
+        assert summary[side]["q1"] == pytest.approx(q1, abs=1e-6), where
+        assert summary[side]["q3"] == pytest.approx(q3, abs=1e-6), where
+    assert 0 <= summary["change_lower_pairs"] <= summary["pairs"] <= len(seeds), where
+    lower = sum(change < parent for parent, change in zip(runs["parent"], runs["change"]))
+    assert summary["change_lower_pairs"] == lower, f"{where}: change_lower_pairs does not count the runs"

@@ -590,3 +590,24 @@ class TestPopulationIdentity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: population[1].record_id: duplicate id 'r1'\n"
+
+    @pytest.mark.parametrize("command", SAMPLE_COMMANDS)
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("record_id", ["", "  "], ids=["empty", "blank"])
+    def test_an_empty_record_id_exits_2(self, tmp_path, capsys, command, suffix, record_id):
+        rows = [("r0", "apac"), (record_id, "emea"), ("r2", "apac")]
+        path = tmp_path / f"population{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps([{"record_id": rid, "region": region} for rid, region in rows]))
+        else:
+            path.write_text("record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows))
+        assert main(SAMPLE_COMMANDS[command] + ["--population", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: population[1].record_id: missing value\n"
+
+    def test_a_json_record_id_is_kept_as_written(self, tmp_path, capsys):
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps([{"record_id": rid, "region": "apac"} for rid in ("r0", " r0", "r0 ")]))
+        assert main(["sample", "select", "--k", "3", "--seed", "0", "--population", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == [" r0", "r0", "r0 "]

@@ -200,6 +200,31 @@ class TestReportSerialisation:
         with pytest.raises(SchemaError, match="must be null when not applicable"):
             report_from_dict(document)
 
+    @pytest.mark.parametrize(
+        ("trail", "message"),
+        [
+            (("alpha", "C"), "report.config.alpha.C: missing required field"),
+            (("credibility",), "report.config.credibility: missing required field"),
+            (("credibility", "TR"), "report.config.credibility.TR: missing required field"),
+        ],
+    )
+    def test_faults_in_the_embedded_config_name_the_report(self, luxshare_manifest, equal_config, trail, message):
+        document = report_to_dict(score_dataset(luxshare_manifest, equal_config))
+        parent = document["config"]
+        for key in trail[:-1]:
+            parent = parent[key]
+        del parent[trail[-1]]
+        with pytest.raises(SchemaError) as caught:
+            report_from_dict(document)
+        assert str(caught.value) == message
+
+    def test_normalisation_faults_in_the_embedded_config_name_the_report(self, luxshare_manifest, equal_config):
+        document = report_to_dict(score_dataset(luxshare_manifest, equal_config))
+        document["config"]["alpha"]["R"] = -1.0
+        with pytest.raises(SchemaError) as caught:
+            report_from_dict(document)
+        assert str(caught.value) == "report.config.alpha.R: negative coefficient -1.0"
+
 
 class TestPopulationParsing:
     def test_json_list_of_flat_objects(self):

@@ -68,13 +68,26 @@ def _mutants(document: dict):
     yield mutant(document, ("config", "applicability", "XX"), set_to(True))
 
 
-def _decode_like_the_oracle(document: dict) -> None:
+def _in_report(message: str) -> str:
+    """The oracle's message for a fault inside a report's config, as the engine words it.
+
+    The oracle words it as for a config document on its own.  The engine
+    puts ``report.config.`` in front, and names the root that the oracle
+    calls ``weights`` (a missing group, an unknown key) ``report.config``.
+    """
+    root, _, rest = message.partition(": ")
+    if root == "weights" or root.startswith("weights.") and rest == "missing required field":
+        return "report.config" + message.removeprefix("weights")
+    return "report.config." + message
+
+
+def _decode_like_the_oracle(document: dict, under_config: bool = False) -> None:
     try:
         expected = oracle.report_from_dict(copy.deepcopy(document))
     except SchemaError as exc:
         with pytest.raises(SchemaError) as caught:
             report_from_dict(copy.deepcopy(document))
-        assert str(caught.value) == str(exc)
+        assert str(caught.value) == (_in_report(str(exc)) if under_config else str(exc))
         return
     report = report_from_dict(copy.deepcopy(document))
     assert report == expected
@@ -95,9 +108,14 @@ def test_report_codec_matches_the_oracle(config, name):
 @pytest.mark.parametrize(("config", "name"), DOCUMENTS)
 def test_single_fault_report_mutants_decode_like_the_oracle(config, name):
     document = oracle.report_to_dict(_report(config, name))
+    config_text = json.dumps(document["config"], sort_keys=True)
     count = 0
     for mutated in _mutants(document):
-        _decode_like_the_oracle(mutated)
+        # Compared as JSON text, which tells True from 1.0.
+        embedded = mutated.get("config")
+        _decode_like_the_oracle(
+            mutated, isinstance(embedded, dict) and json.dumps(embedded, sort_keys=True) != config_text
+        )
         count += 1
     assert count > 100
     assert count == MUTANT_COUNTS[config, name]

@@ -100,6 +100,67 @@ class TestDistributions:
             categorical_distribution(_records([1.0, bad, 3.0]), "c")
 
 
+# A value that leaves the criterion out of its record.
+ABSENT = object()
+
+# Every entry point bins its population the same way, so each refuses alike.
+BINNING_CALLERS = {
+    "distribution": lambda records: categorical_distribution(records, "c"),
+    "curve": lambda records: saturation_curve(records, "c", [1], seed=0),
+    "selection": lambda records: select_representative_sample(records, 1, ["c"], seed=0),
+    "aggregate": lambda records: aggregate_divergence(records, records[:1], ["c"]),
+}
+
+
+class TestRefusalOrder:
+    """Of several faults in one column, which one the binning reports.
+
+    First a record without the criterion, then the first unsupported
+    value in record order, then mixed kinds, and only then the checks of
+    one kind: non-string labels, nothing to count, non-finite numbers.
+    """
+
+    @pytest.mark.parametrize("caller", BINNING_CALLERS)
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            ([{"x": 1}, ABSENT], "record 'r001': missing criterion 'c'"),
+            ([None, ("a", 1), 2.0, ABSENT], "record 'r003': missing criterion 'c'"),
+            (["a", {"x": 1}, None], "criterion 'c': unsupported value type dict"),
+            (["a", b"x", {"x": 1}], "criterion 'c': unsupported value type bytes"),
+            (["a", 1.0, None], "criterion 'c': unsupported value type NoneType"),
+            ([("a", 1), None], "criterion 'c': unsupported value type NoneType"),
+            ([("a", 1), 2.0], "criterion 'c': mixed value types ['multilabel', 'numeric']"),
+            ([math.nan, "a"], "criterion 'c': mixed value types ['categorical', 'numeric']"),
+            ([True, 1], "criterion 'c': mixed value types ['categorical', 'numeric']"),
+            ([(), ("a", ["b"])], "criterion 'c': list values must contain strings"),
+            ([(), []], "criterion 'c': no labels to count"),
+            ([1.0, math.inf, math.nan], "criterion 'c': numeric values must be finite (no NaN or infinity)"),
+        ],
+        ids=[
+            "missing-after-unsupported",
+            "missing-after-every-other-fault",
+            "dict-before-none",
+            "first-unsupported-in-record-order",
+            "unsupported-with-mixed-kinds",
+            "unsupported-before-non-string-label",
+            "mixed-before-non-string-label",
+            "mixed-before-non-finite",
+            "bool-is-not-numeric",
+            "non-string-label",
+            "no-labels",
+            "non-finite",
+        ],
+    )
+    def test_first_fault_is_reported(self, caller, values, message):
+        records = [
+            PopulationRecord(f"r{i:03d}", {} if value is ABSENT else {"c": value}) for i, value in enumerate(values)
+        ]
+        with pytest.raises(SchemaError) as caught:
+            BINNING_CALLERS[caller](records)
+        assert str(caught.value) == message
+
+
 class TestDivergence:
     def test_identical_distributions_diverge_zero(self):
         dist = Distribution("c", ("a", "b", "d"), (0.2, 0.5, 0.3))

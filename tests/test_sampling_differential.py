@@ -12,6 +12,7 @@ import random
 import pytest
 
 import sampling_oracle as oracle
+from stride.errors import SchemaError
 from stride.sampling import PopulationRecord, saturation_curve, select_representative_sample
 
 ALL_CRITERIA = ("kind", "flag", "size", "tags")
@@ -124,6 +125,30 @@ class TestSelectionMatchesOracle:
                 oracle.select_representative_sample(*args, max_swaps=max_swaps),
             )
 
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("k", [8, 40, 75])
+    def test_larger_population(self, k, shared):
+        population = _population(150 + k, 150, shared)
+        for criteria in (ALL_CRITERIA, *((criterion,) for criterion in ALL_CRITERIA)):
+            args = (population, k, criteria, k)
+            _assert_same_selection(select_representative_sample(*args), oracle.select_representative_sample(*args))
+
+    @pytest.mark.parametrize("criteria", [ALL_CRITERIA, ("size",), ("tags",)])
+    def test_one_record_population(self, criteria):
+        population = _population(5, 1, False, empty_tags=False)
+        args = (population, 1, criteria, 3)
+        _assert_same_selection(select_representative_sample(*args), oracle.select_representative_sample(*args))
+
+    def test_boolean_criterion_with_string_labels(self):
+        # A boolean counts under its label, so True and "true" fall in one category.
+        population = [
+            PopulationRecord(f"r{i:02d}", {"flag": value})
+            for i, value in enumerate([True, False, "true", True, "maybe", False, True, True, "false", True] * 3)
+        ]
+        for seed in range(4):
+            args = (population, 6, ("flag",), seed)
+            _assert_same_selection(select_representative_sample(*args), oracle.select_representative_sample(*args))
+
     def test_populations_cover_shared_signatures_and_label_order(self):
         population = _population(0, 48, True)
         assert _signature_count(population, ALL_CRITERIA) <= len(population) // 2
@@ -152,3 +177,45 @@ class TestCurveMatchesOracle:
             saturation_curve(population, "size", sizes, 9, bins=3),
             oracle.saturation_curve(population, "size", sizes, 9, bins=3),
         )
+
+    @pytest.mark.parametrize("bins", [2, 10, 50])
+    def test_long_numeric_curve(self, bins):
+        population = _population(33, 5000, False)
+        ratio = (len(population) / 20) ** (1 / 39)
+        sizes = [min(len(population), round(20 * ratio**step)) for step in range(40)]
+        assert len(set(sizes)) == 40
+        _assert_same_curve(
+            saturation_curve(population, "size", sizes, 4, bins=bins),
+            oracle.saturation_curve(population, "size", sizes, 4, bins=bins),
+        )
+
+    @pytest.mark.parametrize("criterion", ALL_CRITERIA)
+    def test_one_record_population(self, criterion):
+        population = _population(6, 1, False, empty_tags=False)
+        _assert_same_curve(
+            saturation_curve(population, criterion, [1, 1], 0),
+            oracle.saturation_curve(population, criterion, [1, 1], 0),
+        )
+
+    @pytest.mark.parametrize("values", [[True] * 30, [True, False, False] * 10, [True, "true", "false", False, "x"] * 6])
+    def test_boolean_criterion(self, values):
+        population = [PopulationRecord(f"r{i:02d}", {"flag": value}) for i, value in enumerate(values)]
+        sizes = [1, 2, 7, 29, 30, 12]
+        for seed in range(3):
+            _assert_same_curve(
+                saturation_curve(population, "flag", sizes, seed),
+                oracle.saturation_curve(population, "flag", sizes, seed),
+            )
+
+    def test_multilabel_draw_that_counts_no_label(self):
+        # Only the first record has a tag; the curve's second draw is one untagged record.
+        population = [PopulationRecord(f"r{i:02d}", {"tags": ("x",) if i == 0 else ()}) for i in range(40)]
+        _assert_same_curve(
+            saturation_curve(population, "tags", [40], 0), oracle.saturation_curve(population, "tags", [40], 0)
+        )
+        with pytest.raises(SchemaError) as caught:
+            saturation_curve(population, "tags", [40, 1], 0)
+        assert str(caught.value) == "criterion 'tags': no values to count"
+        # The oracle has no input checks: it divides by the empty draw's zero total.
+        with pytest.raises(ZeroDivisionError):
+            oracle.saturation_curve(population, "tags", [40, 1], 0)
