@@ -7,14 +7,27 @@ idempotent.  Records are single JSON files written atomically
 its id is reported as corrupt rather than silently served.
 
 A record is canonical JSON (sorted keys, no insignificant whitespace,
-UTF-8) followed by a newline.  Saving encodes the report once, through
-the shared canonical encoder of :mod:`stride.digests`: that text is
-hashed for the run id, and the record is written as a fixed template
-around it, its keys in sorted order (``config_digest``,
-``manifest_digest``, ``report``, ``run_id``, ``timestamp``), so the
-bytes are those of ``canonical_json(record)``.  Records written in the
-older indented form still load, since loading parses the JSON rather
-than comparing bytes; loading re-hashes the parsed report in full.
+UTF-8) followed by a newline.  Saving encodes each entry of the report
+once, through the shared canonical encoder of :mod:`stride.digests`, and
+splices the entries into the report's canonical text: that text is
+hashed for the run id, and the ``config`` entry's text for the config
+digest.  The record is written as a fixed template around the report
+text, its keys in sorted order (``config_digest``, ``manifest_digest``,
+``report``, ``run_id``, ``timestamp``), so the bytes are those of
+``canonical_json(record)``.
+
+The store is touched with the calls it needs.  Saving opens the target
+record directly: a missing one is written to a new temp file (created
+exclusively, the store directory made only when that creation finds it
+missing) and renamed into place.  An existing record that is exactly
+the one this save would write, up to its timestamp, is kept as it is;
+any other existing record is kept only if its report hashes to the id.
+Loading a full 64-digit id opens its record directly, and a prefix or a
+missing record goes through :func:`resolve_run_id`.  Loading parses the
+record, not its bytes, so records written in the older indented form
+still load; it re-encodes the parsed report once, entry by entry, and
+checks the run id against the spliced text and the config digest
+against the ``config`` entry.
 
 Filesystem errors while saving raise :class:`StoreError`, and so does a
 report holding NaN or an infinity, before anything is written.  A record
@@ -26,14 +39,16 @@ strings or whose manifest or config digest contradicts its report.
 
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 
-from .digests import _text_digest, canonical_json, content_digest
+from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import SchemaError, StoreError
 from .io import _finite_float, _refuse_constant, report_from_dict, report_to_dict
 from .model import StrideReport
@@ -65,18 +80,61 @@ def run_id_for(report: StrideReport) -> str:
     A report holding NaN or an infinity has no canonical JSON, so it has
     no id: that raises :class:`StoreError`.
     """
-    return _text_digest(_report_text(report_to_dict(report)))
+    return _text_digest(_splice(_report_texts(report)))
 
 
-def _report_text(report_dict: dict) -> str:
-    try:
-        return canonical_json(report_dict)
+def _report_texts(report: StrideReport) -> dict[str, str]:
+    """The canonical text of each entry of the report's document."""
+    report_dict = report_to_dict(report)
+    try:  # in key order, so that the first non-finite value is the one canonical_json(report_dict) meets
+        return {key: canonical_json(report_dict[key]) for key in sorted(report_dict)}
     except ValueError as exc:  # canonical JSON refuses NaN and the infinities
         raise StoreError(f"report has no run id: {exc}") from None
 
 
-def _record_path(store: Path, run_id: str) -> Path:
-    return store / f"{run_id}.json"
+def _record_path(directory: str, run_id: str) -> str:
+    """``str(Path(directory) / f"{run_id}.json")`` for a store's ``str``, without building the path."""
+    return f"{run_id}.json" if directory == "." else os.path.join(directory, f"{run_id}.json")
+
+
+# Failures of an open that Path.exists() reads as "no such file".
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
+def _open_record(path: str, absent_ok: bool = False) -> BinaryIO | None:
+    """Open a record for reading; None when ``absent_ok`` and there is no file to open."""
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError as exc:
+        if absent_ok and exc.errno in _ABSENT:
+            return None
+        raise StoreError(f"cannot read run record {os.path.basename(path)}: {exc}") from None
+
+
+def _is_saved_form(text: str, head: str) -> bool:
+    """Whether a record's parsed ``text`` is the one that ``head`` starts, up to its timestamp.
+
+    The timestamp must hold no quote or backslash and end the record, so
+    that nothing, such as a second ``"report"`` key, can follow it.
+    """
+    if not text.startswith(head) or not text.endswith('"}\n'):
+        return False
+    timestamp = text[len(head) : -3]
+    return '"' not in timestamp and "\\" not in timestamp
+
+
+# Temp file names: .{id prefix}-{pid}-{n}.tmp, n counting up within a process.
+_TEMP_NUMBERS = itertools.count()
+
+
+def _create_temp(directory: str, run_id: str) -> tuple[int, str]:
+    """Create a new, empty temp file in ``directory``; returns its descriptor and path."""
+    while True:
+        temp = os.path.join(directory, f".{run_id[:12]}-{os.getpid()}-{next(_TEMP_NUMBERS)}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), temp
+        except FileExistsError:
+            continue
 
 
 def save_run(report: StrideReport, store_path: Path | str) -> str:
@@ -88,58 +146,74 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     filesystem error while creating the store or writing the record.
     """
     store = Path(store_path)
-    report_dict = report_to_dict(report)
-    report_text = _report_text(report_dict)
+    texts = _report_texts(report)
+    report_text = _splice(texts)
     run_id = _text_digest(report_text)
-    target = _record_path(store, run_id)
-    try:
-        store.mkdir(parents=True, exist_ok=True)
-        exists = target.exists()
-    except OSError as exc:
-        raise StoreError(f"cannot open run store {store}: {exc}") from None
-    if exists:
-        existing = _read_record(target)
-        if content_digest(existing.get("report")) != run_id:
+    directory = str(store)
+    target = _record_path(directory, run_id)
+    # canonical_json(record) spelled out around the report text, up to the
+    # timestamp's value.  The digests and the timestamp are hex and ISO text,
+    # which JSON-encode as themselves in quotes; the manifest digest is the
+    # report's own entry, so its text is already encoded.
+    head = (
+        f'{{"config_digest":"{_text_digest(texts["config"])}",'
+        f'"manifest_digest":{texts["manifest_digest"]},'
+        f'"report":{report_text},"run_id":"{run_id}","timestamp":"'
+    )
+
+    existing = _open_record(target, absent_ok=True)
+    if existing is not None:
+        raw, text = _read_record(existing)
+        if not _is_saved_form(text, head) and content_digest(raw.get("report")) != run_id:
             raise StoreError(f"run {run_id}: stored content does not match its id")
         return run_id
 
-    # canonical_json(record) spelled out around the report text.  The digests
-    # and the timestamp are hex and ISO text, which JSON-encode as themselves
-    # in quotes; the manifest digest is the report's own, so it is encoded.
-    record_text = (
-        f'{{"config_digest":"{content_digest(report_dict["config"])}",'
-        f'"manifest_digest":{canonical_json(report.manifest_digest)},'
-        f'"report":{report_text},"run_id":"{run_id}",'
-        f'"timestamp":"{datetime.now(timezone.utc).isoformat()}"}}\n'
-    )
-    data = record_text.encode("utf-8")
+    data = f'{head}{datetime.now(timezone.utc).isoformat()}"}}\n'.encode("utf-8")
     # Write-rename keeps readers from ever seeing a partial record.
     try:
-        fd, temp_name = tempfile.mkstemp(dir=store, prefix=f".{run_id[:12]}-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(temp_name, target)
+            fd, temp = _create_temp(directory, run_id)
+        except OSError:
+            # Make the store only now that it is needed: a fault of its own is
+            # reported as the store's, and a store that is there is tried again.
+            try:
+                store.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise StoreError(f"cannot open run store {store}: {exc}") from None
+            fd, temp = _create_temp(directory, run_id)
+        try:
+            try:
+                written = os.write(fd, data)
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+            os.replace(temp, target)
         except BaseException:
             try:
-                os.unlink(temp_name)
+                os.unlink(temp)
             except OSError:
                 pass
             raise
     except OSError as exc:
-        raise StoreError(f"cannot write run record {target.name}: {exc}") from None
+        raise StoreError(f"cannot write run record {run_id}.json: {exc}") from None
     return run_id
 
 
-def _read_record(path: Path) -> dict:
+def _read_record(handle: BinaryIO) -> tuple[dict, str]:
+    """Parse a record from its open file, which this closes; returns the record and its text."""
+    name = os.path.basename(handle.name)
     try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, parse_constant=_refuse_constant, parse_float=_finite_float)
+        with handle:
+            text = handle.readall().decode("utf-8")
+        if "\r" in text:  # as reading in text mode translates newlines
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
-        raise StoreError(f"cannot read run record {path.name}: {exc}") from None
+        raise StoreError(f"cannot read run record {name}: {exc}") from None
     if not isinstance(raw, dict):
-        raise StoreError(f"cannot read run record {path.name}: not a JSON object")
-    return raw
+        raise StoreError(f"cannot read run record {name}: not a JSON object")
+    return raw, text
 
 
 def resolve_run_id(run_id: str, store_path: Path | str) -> str:
@@ -147,7 +221,7 @@ def resolve_run_id(run_id: str, store_path: Path | str) -> str:
     store = Path(store_path)
     if not run_id or any(c not in "0123456789abcdef" for c in run_id):
         raise StoreError(f"run id must be a hex string, got {run_id!r}")
-    if _record_path(store, run_id).exists():
+    if (store / f"{run_id}.json").exists():
         return run_id
     if not store.is_dir():
         raise StoreError(f"run store {store} does not exist")
@@ -170,8 +244,14 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
     as :func:`save_run` computes it.
     """
     store = Path(store_path)
-    full_id = resolve_run_id(run_id, store)
-    raw = _read_record(_record_path(store, full_id))
+    handle = None
+    if isinstance(run_id, str) and len(run_id) == 64 and not run_id.strip("0123456789abcdef"):
+        handle = _open_record(_record_path(str(store), run_id), absent_ok=True)
+    full_id = run_id
+    if handle is None:
+        full_id = resolve_run_id(run_id, store)
+        handle = _open_record(_record_path(str(store), full_id))
+    raw, _ = _read_record(handle)
     for key in ("run_id", "timestamp", "manifest_digest", "config_digest", "report"):
         if key not in raw:
             raise StoreError(f"run {full_id}: record missing field {key!r}")
@@ -180,15 +260,19 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
             raise StoreError(f"run {full_id}: record field {key!r} must be a string, got {type(raw[key]).__name__}")
     if raw["run_id"] != full_id:
         raise StoreError(f"run {full_id}: record carries mismatched id {raw['run_id']!r}")
-    if content_digest(raw["report"]) != full_id:
+    stored = raw["report"]
+    # The report's canonical text, each entry encoded once; the config entry's
+    # text is the one the config digest was taken from.
+    texts = {key: canonical_json(value) for key, value in stored.items()} if isinstance(stored, dict) else None
+    if _text_digest(canonical_json(stored) if texts is None else _splice(texts)) != full_id:
         raise StoreError(f"run {full_id}: stored report does not match its id")
     try:
-        report = report_from_dict(raw["report"])
+        report = report_from_dict(stored)
     except SchemaError as exc:
         raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
     if raw["manifest_digest"] != report.manifest_digest:
         raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
-    if raw["config_digest"] != content_digest(raw["report"]["config"]):
+    if raw["config_digest"] != _text_digest(texts["config"]):
         raise StoreError(f"run {full_id}: record config_digest does not match its report")
     return RunRecord(
         run_id=raw["run_id"],

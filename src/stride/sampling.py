@@ -171,6 +171,30 @@ def _indices(values: Sequence[object], criterion: str, binning: _Binning) -> lis
     return _label_indices((_bool_label(v) if isinstance(v, bool) else v for v in values), criterion, binning)
 
 
+def _check_sample(values: Sequence[object], criterion: str, binning: _Binning) -> None:
+    """Refuse the first sample value that the population's binning would misread.
+
+    Categorical values are looked up by label, which refuses any value
+    that is not one.  Numeric values are converted and multilabel ones
+    iterated, so there a value of another kind, or a non-finite number,
+    is refused here.
+    """
+    if binning.kind == "categorical":
+        return
+    for value in values:
+        if _kind(type(value)) != binning.kind:
+            raise SchemaError(f"criterion {criterion!r}: sample value {value!r} is not {binning.kind}")
+        if binning.kind == "numeric" and not _is_finite(value):
+            raise SchemaError(f"criterion {criterion!r}: sample value {value!r} is not finite")
+
+
+def _is_finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _label_indices(labels: Iterable[object], criterion: str, binning: _Binning) -> list[int]:
     positions = binning.positions
     indices = []
@@ -260,6 +284,8 @@ def representativeness_sigma(shares: Sequence[float]) -> float:
     """Population standard deviation of stratum shares around their mean."""
     if not shares:
         raise SchemaError("shares must be non-empty")
+    if not all(map(_is_finite, shares)):
+        raise SchemaError("shares must be finite (no NaN or infinity)")
     if max(shares) == min(shares):
         return 0.0  # uniform shares have zero spread, exactly
     mean = sum(shares) / len(shares)
@@ -314,7 +340,9 @@ def aggregate_divergence(
     for criterion in criteria:
         binning, indices = _bin_column(population, criterion, bins)
         population_dist = _distribution_of(indices, criterion, binning)
-        sample_dist = _distribution_of(_indices(_column(sample, criterion), criterion, binning), criterion, binning)
+        sample_values = _column(sample, criterion)
+        _check_sample(sample_values, criterion, binning)
+        sample_dist = _distribution_of(_indices(sample_values, criterion, binning), criterion, binning)
         total += js_divergence(sample_dist, population_dist)
     return total
 

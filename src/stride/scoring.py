@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .digests import _text_digest, canonical_json, content_digest
+from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError
 from .io import manifest_to_dict
 from .model import (
@@ -367,14 +367,12 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         normalised.alpha,
     )
 
-    # The canonical text of the whole document: its sorted entries, spliced.
-    manifest_text = "{" + ",".join(canonical_json(key) + ":" + texts[key] for key in sorted(texts)) + "}"
     return StrideReport(
         sub_scores=tuple(sub_scores),
         component_scores=components,
         trust=trust,
         config_snapshot=normalised,
-        manifest_digest=_text_digest(manifest_text),
+        manifest_digest=_text_digest(_splice(texts)),
     )
 
 

@@ -215,6 +215,11 @@ class TestDivergence:
         with pytest.raises(SchemaError, match="non-empty"):
             representativeness_sigma([])
 
+    @pytest.mark.parametrize("shares", [[math.nan], [math.inf, 1.0], [0.5, -math.inf], [0.2, math.nan, 0.2]])
+    def test_sigma_refuses_non_finite_shares(self, shares):
+        with pytest.raises(SchemaError, match=r"^shares must be finite \(no NaN or infinity\)$"):
+            representativeness_sigma(shares)
+
 
 class TestSaturationCurve:
     def test_curve_is_deterministic(self, region_population):
@@ -258,6 +263,41 @@ class TestAggregateDivergence:
             sample = [PopulationRecord("s0", {criterion: value})]
             with pytest.raises(SchemaError, match=f"criterion '{criterion}': label {label} outside the population"):
                 aggregate_divergence(records, sample, [criterion])
+
+    @pytest.mark.parametrize(
+        ("value", "shown", "kind"),
+        [
+            ("x", "'x'", "numeric"),
+            ("1.5", "'1.5'", "numeric"),
+            ([1], r"\[1\]", "numeric"),
+            (True, "True", "numeric"),
+            (None, "None", "numeric"),
+            ("p", "'p'", "multilabel"),
+        ],
+    )
+    def test_sample_value_of_another_kind_is_rejected(self, value, shown, kind):
+        criterion = "n" if kind == "numeric" else "t"
+        records = [PopulationRecord("r0", {"n": 1.0, "t": ("p",)}), PopulationRecord("r1", {"n": 2, "t": ("q",)})]
+        sample = [records[0], PopulationRecord("s0", {criterion: value})]
+        with pytest.raises(SchemaError, match=f"^criterion '{criterion}': sample value {shown} is not {kind}$"):
+            aggregate_divergence(records, sample, [criterion])
+
+    @pytest.mark.parametrize("value", [3, 2.5, float("nan")], ids=["int", "float", "nan"])
+    def test_number_under_a_categorical_criterion_is_rejected(self, value):
+        records = _records(["a", "b"])
+        with pytest.raises(SchemaError, match=f"^criterion 'c': label {value!r} outside the population$"):
+            aggregate_divergence(records, [PopulationRecord("s0", {"c": value})], ["c"])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "huge"])
+    def test_non_finite_sample_number_is_rejected(self, value):
+        records = _records([1.0, 2.0, 3.0])
+        shown = "1" + "0" * 400 if isinstance(value, int) else repr(value)
+        with pytest.raises(SchemaError, match=f"^criterion 'c': sample value {shown} is not finite$"):
+            aggregate_divergence(records, [PopulationRecord("s0", {"c": value})], ["c"])
+
+    def test_finite_sample_numbers_are_binned(self):
+        records = _records([1.0, 2.0, 3.0, 4.0])
+        assert aggregate_divergence(records, _records([1, 2.0, 3, 4.0]), ["c"]) == 0.0
 
     def test_requires_criteria_and_sample(self):
         records = _records(["a", "b"])
