@@ -342,7 +342,9 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
         applicable = [m for m in members if config.applicability[m]]
         if not applicable:
             raise SchemaError(f"component {component.value}: no applicable metric")
-        total = sum(config.weights[m] for m in applicable)
+        total = 0.0  # a left-to-right fold: sum() of floats differs from Python 3.12 on
+        for m in applicable:
+            total += config.weights[m]
         if total == 0:
             raise SchemaError(f"component {component.value}: applicable weights sum to zero")
         rescale = abs(total - 1.0) > _SUM_TOLERANCE

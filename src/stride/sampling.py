@@ -9,7 +9,11 @@ lives in [0, 1].
 
 Each call reads and bins a criterion's column once, then works on the
 records' category indices.  The saturation curve draws positions in
-that index list, so its draws are those of drawing the records.
+that index list, so its draws are those of drawing the records.  It
+draws them itself, from the generator's 32-bit outputs read in large
+batches, and makes exactly the draws of ``random.Random(seed).sample``
+per size, so the algorithm is pinned here: a change to the stdlib's
+``sample`` cannot silently move a curve.
 
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
@@ -22,11 +26,13 @@ import bisect
 import math
 import random
 import statistics
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, islice, repeat
+from operator import rshift
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ComputationError, SchemaError
 
@@ -34,6 +40,10 @@ DEFAULT_BINS = 10
 
 # Swap-search improvements smaller than this are treated as float noise.
 _IMPROVEMENT_EPS = 1e-12
+
+# Generator outputs read per getrandbits call by _word_stream.
+_CHUNK_WORDS = 1024
+_unpack_chunk = struct.Struct(f"<{_CHUNK_WORDS}I").unpack
 
 
 @dataclass(frozen=True)
@@ -164,8 +174,7 @@ def _bin_column(records: Sequence[PopulationRecord], criterion: str, bins: int) 
 def _indices(values: Sequence[object], criterion: str, binning: _Binning) -> list:
     """Each value's category index under ``binning``, as :func:`_bin_column` returns them."""
     if binning.kind == "numeric":
-        breakpoints = binning.breakpoints
-        return [bisect.bisect_right(breakpoints, number) for number in map(float, values)]
+        return list(map(bisect.bisect_right, repeat(binning.breakpoints), map(float, values)))
     if binning.kind == "multilabel":
         return [tuple(_label_indices(value, criterion, binning)) for value in values]
     return _label_indices((_bool_label(v) if isinstance(v, bool) else v for v in values), criterion, binning)
@@ -195,6 +204,10 @@ def _is_finite(number: float) -> bool:
         return False
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _label_indices(labels: Iterable[object], criterion: str, binning: _Binning) -> list[int]:
     positions = binning.positions
     indices = []
@@ -206,18 +219,23 @@ def _label_indices(labels: Iterable[object], criterion: str, binning: _Binning) 
     return indices
 
 
-def _tally(indices: Sequence, criterion: str, binning: _Binning) -> tuple[list[int], int]:
-    """Per-category counts of ``indices`` (as :func:`_bin_column` returns them) and their total."""
+def _counts(indices: Iterable, binning: _Binning) -> list[int]:
+    """Per-category counts of ``indices``, as :func:`_bin_column` returns them."""
     tally = Counter(chain.from_iterable(indices) if binning.kind == "multilabel" else indices)
-    counts = [tally.get(index, 0) for index in range(len(binning.categories))]
+    return [tally.get(index, 0) for index in range(len(binning.categories))]
+
+
+def _total(counts: Sequence[int], criterion: str) -> int:
+    """The sum of ``counts``, refusing a zero sum, which has no distribution."""
     total = sum(counts)
     if total == 0:
         raise SchemaError(f"criterion {criterion!r}: no values to count")
-    return counts, total
+    return total
 
 
 def _distribution_of(indices: Sequence, criterion: str, binning: _Binning) -> Distribution:
-    counts, total = _tally(indices, criterion, binning)
+    counts = _counts(indices, binning)
+    total = _total(counts, criterion)
     return Distribution(criterion, binning.categories, tuple(c / total for c in counts))
 
 
@@ -241,6 +259,11 @@ def categorical_distribution(
 def _label_map(dist: Distribution) -> dict[str, float]:
     if len(set(dist.categories)) != len(dist.categories):
         raise SchemaError(f"criterion {dist.criterion!r}: duplicate category labels")
+    for probability in dist.probabilities:
+        if not _is_finite(probability) or probability < 0:
+            raise SchemaError(
+                f"criterion {dist.criterion!r}: probabilities must be finite and >= 0, got {probability!r}"
+            )
     return dict(zip(dist.categories, dist.probabilities))
 
 
@@ -288,13 +311,78 @@ def representativeness_sigma(shares: Sequence[float]) -> float:
         raise SchemaError("shares must be finite (no NaN or infinity)")
     if max(shares) == min(shares):
         return 0.0  # uniform shares have zero spread, exactly
-    mean = sum(shares) / len(shares)
-    return math.sqrt(sum((s - mean) ** 2 for s in shares) / len(shares))
+    # Left-to-right folds from 0.0, not sum(): from Python 3.12 sum() of
+    # floats is compensated, so its result would depend on the version.
+    total = 0.0
+    for share in shares:
+        total += share
+    mean = total / len(shares)
+    squares = 0.0
+    for share in shares:
+        squares += (share - mean) ** 2
+    return math.sqrt(squares / len(shares))
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+
+def _word_stream(rng: random.Random) -> Iterator[int]:
+    """``rng``'s 32-bit outputs in order, read ``_CHUNK_WORDS`` at a time.
+
+    ``rng.getrandbits(32 * N)`` is the next N outputs, the first in the
+    lowest bits, and ``rng.getrandbits(b)`` for ``b <= 32`` is the top
+    ``b`` bits of the next one.  The stream reads up to one chunk ahead,
+    so ``rng`` must serve nothing else while it is in use.
+    """
+
+    def chunk(_: None) -> tuple[int, ...]:
+        return _unpack_chunk(rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little"))
+
+    return chain.from_iterable(map(chunk, repeat(None)))
+
+
+def _draw(words: Iterator[int], items: Sequence, k: int) -> tuple[bool, Iterable]:
+    """What ``random.sample(items, k)`` draws from the generator behind ``words``.
+
+    Returns ``(True, the drawn items)`` or ``(False, the items not drawn)``,
+    in no particular order, and leaves ``words`` just past the last output
+    ``random.sample`` would have used.  Each draw is ``randbelow(m)``: the
+    top ``m.bit_length()`` bits of one output, rejected while ``>= m``.
+    ``len(items)`` must be below ``2**32``, so that one output suffices per
+    try; a population that large does not fit in memory anyway.
+    """
+    n = len(items)
+    # The stdlib's choice between its two methods, with the same math calls.
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        # Draw positions until k are distinct.  A try that is out of range
+        # or already drawn adds nothing to the set, so each batch of as
+        # many outputs as positions are missing never reads too far.
+        selected: set[int] = set()
+        shift = 32 - n.bit_length()
+        while len(selected) < k:
+            selected.update(filter(n.__gt__, map(rshift, islice(words, k - len(selected)), repeat(shift))))
+        return True, map(items.__getitem__, selected)
+    # Partial Fisher-Yates shuffle: the item drawn from pool[:m] is replaced
+    # by pool[m - 1], so pool[:n - k] ends up holding the items not drawn.
+    # m steps down in runs of one bit length; each run uses one shift and
+    # ends when m reaches floor, the next bit length or the last draw.
+    pool = list(items)
+    m, last = n, n - k
+    while m > last:
+        floor = max(last, (1 << (m.bit_length() - 1)) - 1)
+        for r in map(rshift, words, repeat(32 - m.bit_length())):
+            if r < m:
+                m -= 1
+                pool[r] = pool[m]
+                if m == floor:
+                    break
+    del pool[last:]
+    return False, pool
 
 
 def saturation_curve(
@@ -306,22 +394,33 @@ def saturation_curve(
 ) -> tuple[SaturationPoint, ...]:
     """Divergence between seeded uniform samples and the full population.
 
-    One point per requested size, drawn sequentially from a single seeded
-    generator, so the whole curve is deterministic for a fixed seed.
+    One point per requested size, drawn in turn from one
+    ``random.Random(seed)``: the sample for each size is the one
+    ``random.Random(seed).sample(population, size)`` would draw after the
+    earlier sizes, so the whole curve is deterministic for a fixed seed.
+    The draws are made here, not by ``random.sample``, so a future change
+    to the stdlib's algorithm cannot move the curve.
     """
     binning, indices = _bin_column(population, criterion, bins)
-    population_probs = _distribution_of(indices, criterion, binning).probabilities
-    rng = random.Random(seed)
+    population_counts = _counts(indices, binning)
+    population_total = _total(population_counts, criterion)
+    population_probs = [count / population_total for count in population_counts]
+    words = _word_stream(random.Random(seed))
     points = []
     for size in sizes:
+        if not _is_int(size):
+            raise SchemaError(f"sizes must hold integers, got {size!r}")
         if not 0 < size <= len(population):
             raise ComputationError(f"sample size {size} outside [1, {len(population)}]")
-        # random.sample picks by position only, so drawing from the indices
-        # uses the generator exactly as drawing the records would.  The
-        # categories are in sorted-label order, so the divergence adds the
-        # terms of js_divergence(sample, population) in the same order.
-        counts, total = _tally(rng.sample(indices, size), criterion, binning)
-        points.append(SaturationPoint(size, _jsd_from_counts(counts, total, population_probs)))
+        # The draws pick by position only, so drawing from the indices uses
+        # the generator exactly as drawing the records would.  The categories
+        # are in sorted-label order, so the divergence adds the terms of
+        # js_divergence(sample, population) in the same order.
+        drawn, picked = _draw(words, indices, size)
+        counts = _counts(picked, binning)
+        if not drawn:
+            counts = [whole - left for whole, left in zip(population_counts, counts)]
+        points.append(SaturationPoint(size, _jsd_from_counts(counts, _total(counts, criterion), population_probs)))
     return tuple(points)
 
 
@@ -375,10 +474,15 @@ def select_representative_sample(
     n = len(population)
     if not criteria:
         raise SchemaError("at least one criterion is required")
+    if not _is_int(k):
+        raise SchemaError(f"k must be an integer, got {k!r}")
     if not 0 < k <= n:
         raise ComputationError(f"k must be in [1, {n}], got {k}")
-    if max_swaps is not None and max_swaps < 0:
-        raise SchemaError(f"max_swaps must be >= 0, got {max_swaps}")
+    if max_swaps is not None:
+        if not _is_int(max_swaps):
+            raise SchemaError(f"max_swaps must be an integer, got {max_swaps!r}")
+        if max_swaps < 0:
+            raise SchemaError(f"max_swaps must be >= 0, got {max_swaps}")
 
     columns = [_bin_column(population, criterion, bins) for criterion in criteria]
     population_probs = [

@@ -11,7 +11,10 @@ Metrics that cannot be evaluated for a given manifest (no evidence
 items, no annotation block, a too-short accuracy series, nothing to
 disclose) return ``None`` instead of a number; the component step then
 renormalises the remaining weights.  All arithmetic is plain double
-precision, and rounding is left to presentation code.
+precision, and rounding is left to presentation code.  Sums are folded
+left to right from 0.0 rather than by ``sum()``, which compensates float
+sums from Python 3.12 on, so scores and run ids are the same on every
+supported version.
 """
 
 from __future__ import annotations
@@ -93,7 +96,10 @@ def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
     """Mean of per-item audit/trace quality; ``None`` when there is no evidence."""
     if not evidence:
         return None
-    return sum((item.auditability + item.traceability) / 2.0 for item in evidence) / len(evidence)
+    total = 0.0
+    for item in evidence:
+        total += (item.auditability + item.traceability) / 2.0
+    return total / len(evidence)
 
 
 def exemplary_reference(recognition: RecognitionProfile) -> float:
@@ -149,7 +155,10 @@ def ground_truth(
         raise ComputationError("annotation.tenure_cap_years must be positive")
     if any(w < 0 for w in weights):
         raise ComputationError("ground-truth weights must be non-negative")
-    if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOLERANCE:
+    weight_sum = 0.0
+    for w in weights:
+        weight_sum += w
+    if abs(weight_sum - 1.0) > _WEIGHT_SUM_TOLERANCE:
         raise ComputationError("ground-truth weights must sum to 1")
     tenure = min(1.0, stats.mean_tenure_years / stats.tenure_cap_years)
     return (
@@ -198,7 +207,10 @@ def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
     if len(accuracy_series) < 2:
         return None
     steps = len(accuracy_series) - 1
-    return sum(accuracy_series[t] - accuracy_series[t - 1] for t in range(1, len(accuracy_series))) / steps
+    total = 0.0
+    for t in range(1, len(accuracy_series)):
+        total += accuracy_series[t] - accuracy_series[t - 1]
+    return total / steps
 
 
 def transparency(stats: GovernanceStats) -> float | None:
@@ -260,7 +272,9 @@ def component_score(
     ]
     if not applicable:
         raise ComputationError(f"component {component_id.value}: no applicable sub-score")
-    raw_total = sum(config.weights[sub.metric_id] for sub in applicable)
+    raw_total = 0.0
+    for sub in applicable:
+        raw_total += config.weights[sub.metric_id]
     if raw_total == 0:
         raise ComputationError(f"component {component_id.value}: applicable weights sum to zero")
     rescale = abs(raw_total - 1.0) > 1e-12
@@ -271,7 +285,9 @@ def component_score(
             raise ComputationError(f"{sub.metric_id.value}: applicable sub-score without a value")
         weight = config.weights[sub.metric_id] / raw_total if rescale else config.weights[sub.metric_id]
         terms.append(ComponentTerm(sub.metric_id, weight, sub.value, weight * sub.value))
-    total = sum(term.contribution for term in terms)
+    total = 0.0
+    for term in terms:
+        total += term.contribution
     return ComponentBreakdown(component_id, tuple(terms), total)
 
 

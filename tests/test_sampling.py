@@ -205,6 +205,18 @@ class TestDivergence:
         with pytest.raises(SchemaError, match="duplicate category labels"):
             js_divergence(p, q)
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -0.25, 10**400], ids=["nan", "inf", "-inf", "negative", "huge-int"]
+    )
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_or_negative_probability_is_rejected(self, bad, side):
+        good = Distribution("c", ("a", "b"), (0.5, 0.5))
+        bad_dist = Distribution("c", ("a", "b"), (bad, 0.5))
+        p, q = (bad_dist, good) if side == "p" else (good, bad_dist)
+        with pytest.raises(SchemaError) as caught:
+            js_divergence(p, q)
+        assert str(caught.value) == f"criterion 'c': probabilities must be finite and >= 0, got {bad!r}"
+
     def test_sigma_of_equal_shares_is_zero(self):
         assert representativeness_sigma([0.2, 0.2, 0.2]) == 0.0
 
@@ -240,6 +252,12 @@ class TestSaturationCurve:
             saturation_curve(region_population, "region", [0], seed=1)
         with pytest.raises(ComputationError, match="outside"):
             saturation_curve(region_population, "region", [len(region_population) + 1], seed=1)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, False, "3", None])
+    def test_non_integer_size_is_rejected(self, region_population, size):
+        with pytest.raises(SchemaError) as caught:
+            saturation_curve(region_population, "region", [5, size], seed=1)
+        assert str(caught.value) == f"sizes must hold integers, got {size!r}"
 
 
 class TestAggregateDivergence:
@@ -345,6 +363,18 @@ class TestSelection:
     def test_negative_swap_budget_is_rejected(self, industry_population):
         with pytest.raises(SchemaError, match="max_swaps must be >= 0, got -5"):
             select_representative_sample(industry_population, 20, ["industry"], seed=4, max_swaps=-5)
+
+    @pytest.mark.parametrize("k", [2.5, 20.0, True, "20", None])
+    def test_non_integer_k_is_rejected(self, industry_population, k):
+        with pytest.raises(SchemaError) as caught:
+            select_representative_sample(industry_population, k, ["industry"], seed=4)
+        assert str(caught.value) == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("max_swaps", [math.nan, 2.5, 3.0, True, False, "3"])
+    def test_non_integer_swap_budget_is_rejected(self, industry_population, max_swaps):
+        with pytest.raises(SchemaError) as caught:
+            select_representative_sample(industry_population, 20, ["industry"], seed=4, max_swaps=max_swaps)
+        assert str(caught.value) == f"max_swaps must be an integer, got {max_swaps!r}"
 
     def test_whole_population_selection_is_exact(self, industry_population):
         result = select_representative_sample(

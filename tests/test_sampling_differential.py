@@ -13,7 +13,7 @@ import pytest
 
 import sampling_oracle as oracle
 from stride.errors import SchemaError
-from stride.sampling import PopulationRecord, saturation_curve, select_representative_sample
+from stride.sampling import PopulationRecord, categorical_distribution, saturation_curve, select_representative_sample
 
 ALL_CRITERIA = ("kind", "flag", "size", "tags")
 
@@ -219,3 +219,50 @@ class TestCurveMatchesOracle:
         # The oracle has no input checks: it divides by the empty draw's zero total.
         with pytest.raises(ZeroDivisionError):
             oracle.saturation_curve(population, "tags", [40, 1], 0)
+
+    @pytest.mark.parametrize("n", [15, 21, 60, 400])
+    def test_multilabel_curve_with_empty_tag_lists(self, n):
+        # Sizes reach both of random.sample's methods: a set of positions for
+        # small draws, a pool shuffle for draws of a large share of n.
+        population = _population(34, n, False)
+        tags = [record.criteria["tags"] for record in population]
+        assert () in tags and any(len(t) == 2 for t in tags)
+        sizes = sorted({n, n - 1, (2 * n) // 3, n // 2, max(1, n // 8), 6}) + [n]
+        for seed in range(10):
+            try:
+                expected = oracle.saturation_curve(population, "tags", sizes, seed)
+            except ZeroDivisionError:  # a draw of untagged records only; see the test below
+                continue
+            _assert_same_curve(saturation_curve(population, "tags", sizes, seed), expected)
+
+    def test_pool_draw_that_counts_no_label(self):
+        # Ten records, one tagged: a draw of k <= 10 shuffles a pool, and some
+        # seed's draw of 4 misses the tagged record, counted from what it left.
+        population = [PopulationRecord(f"r{i:02d}", {"tags": ("x", "y") if i == 3 else ()}) for i in range(10)]
+        refused = 0
+        for seed in range(20):
+            try:
+                expected = oracle.saturation_curve(population, "tags", [10, 4], seed)
+            except ZeroDivisionError:
+                refused += 1
+                with pytest.raises(SchemaError) as caught:
+                    saturation_curve(population, "tags", [10, 4], seed)
+                assert str(caught.value) == "criterion 'tags': no values to count"
+                continue
+            _assert_same_curve(saturation_curve(population, "tags", [10, 4], seed), expected)
+        assert 0 < refused < 20
+
+    @pytest.mark.parametrize("n", [18, 200, 3000])
+    def test_numeric_curve_with_empty_bins(self, n):
+        # Mostly one value, so the quantile breakpoints repeat and the bins between them stay empty.
+        rng = random.Random(n)
+        population = [
+            PopulationRecord(f"r{i:04d}", {"size": 5.0 if rng.random() < 0.8 else rng.choice((1.0, 2.0, 9.0))})
+            for i in range(n)
+        ]
+        sizes = [1, 3, n // 6, n // 3, (3 * n) // 4, n - 1, n, 2]
+        for bins in (4, 10):
+            for seed in range(4):
+                expected = oracle.saturation_curve(population, "size", sizes, seed, bins=bins)
+                _assert_same_curve(saturation_curve(population, "size", sizes, seed, bins=bins), expected)
+        assert 0.0 in categorical_distribution(population, "size", 10).probabilities

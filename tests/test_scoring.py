@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 
+from manifest_factory import random_manifest
 from stride.errors import ComputationError, SchemaError
 from stride.model import (
     AgilityStats,
@@ -25,6 +27,7 @@ from stride.model import (
     equal_weight_config,
     validate_weight_config,
 )
+from stride.runstore import run_id_for
 from stride.scoring import (
     agility,
     auditability_traceability,
@@ -326,3 +329,16 @@ class TestScoreDataset:
         changed = dataclasses.replace(luxshare_manifest, recognition=recognition)
         other = score_dataset(changed, equal_config)
         assert report.manifest_digest != other.manifest_digest
+
+
+class TestSumsDoNotDependOnThePythonVersion:
+    """Float sums fold left to right from 0.0, as ``sum()`` did up to Python 3.11.
+
+    From 3.12 ``sum()`` of floats is compensated, which moved this report's
+    credibility score to 0.41009555564563854 and so gave it another run id.
+    """
+
+    def test_factory_report_component_score_and_run_id(self):
+        report = score_dataset(random_manifest(random.Random(0)), equal_weight_config())
+        assert repr(report.component_scores[ComponentId.CREDIBILITY]) == "0.4100955556456385"
+        assert run_id_for(report) == "b3e8a78f0260eaf353b945c9d69d95838783bdc24908411d5e6b9c37b451cc59"
