@@ -23,6 +23,10 @@ applicable), duplicate and missing sub-scores, the trust range, the
 partial ``applicability`` map, and an interval's number-or-pair form.
 The writers are written out by hand as well.
 
+The JSON population reader does not go through the tables, since a
+record is a flat object of any keys: it reads the decoded records in one
+pass and keeps each decoder dict as its record's criteria.
+
 The population, rating-record and annotation readers import
 :mod:`stride.sampling`, :mod:`stride.delta` and :mod:`csv` when called,
 so the manifest, weight and report codecs load none of them.
@@ -585,32 +589,57 @@ def _criterion_cell(value: object, path: str, key: str) -> object:
     """A population value; a number must be finite and within float range."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
-        raise SchemaError(f"{path}.{key}: criterion {key!r}: numeric values must be finite")
+        raise _non_finite_cell(path, key)
     return value
 
 
+def _non_finite_cell(path: str, key: str) -> SchemaError:
+    return SchemaError(f"{path}.{key}: criterion {key!r}: numeric values must be finite")
+
+
+_ABSENT = object()
+
+
 def _population_from_json(text: str) -> list[PopulationRecord]:
+    """Records from a JSON array of flat objects, read in one pass.
+
+    Each decoded object becomes its record's ``criteria`` once its
+    ``record_id`` is popped and its lists are turned into tuples in place.
+    Values are dispatched on their exact type, since ``json.loads`` makes
+    only exact dicts, lists, strings, ints, floats, bools and ``None``, and
+    a field's path is spelled out only when it is refused.
+    """
     from .sampling import PopulationRecord
 
-    loaded = _load_json(text)
-    entries = _as_list(loaded, "population")
+    entries = _as_list(_load_json(text), "population")
     records = []
-    for index, entry in enumerate(entries):
-        path = f"population[{index}]"
-        record_obj = dict(_obj(entry, path))
-        record_id = _as_str(_take(record_obj, "record_id", path), f"{path}.record_id")
+    for index, criteria in enumerate(entries):
+        if type(criteria) is not dict:
+            raise SchemaError(f"population[{index}]: expected an object, got {type(criteria).__name__}")
+        record_id = criteria.pop("record_id", _ABSENT)
+        if record_id is _ABSENT:
+            raise SchemaError(f"population[{index}].record_id: missing required field")
+        if type(record_id) is not str:
+            raise SchemaError(f"population[{index}].record_id: expected a string, got {type(record_id).__name__}")
         if not record_id.strip():  # as in CSV, where an id is stripped; a JSON id is kept as written
-            raise SchemaError(f"{path}.record_id: missing value")
-        criteria: dict[str, object] = {}
-        for key, value in record_obj.items():
-            value_path = f"{path}.{key}"
-            if isinstance(value, list):
-                criteria[key] = tuple(_as_str(v, f"{value_path}[{i}]") for i, v in enumerate(value))
-            elif isinstance(value, (bool, int, float, str)):
-                criteria[key] = _criterion_cell(value, path, key)
+            raise SchemaError(f"population[{index}].record_id: missing value")
+        for key, value in criteria.items():
+            kind = type(value)
+            if kind is str or kind is bool:
+                continue
+            if kind is int or kind is float:
+                if not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+                    raise _non_finite_cell(f"population[{index}]", key)
+            elif kind is list:
+                for position, item in enumerate(value):
+                    if type(item) is not str:
+                        raise SchemaError(
+                            f"population[{index}].{key}[{position}]: expected a string, got {type(item).__name__}"
+                        )
+                criteria[key] = tuple(value)  # assigning to a present key during iteration is allowed
             else:
-                raise SchemaError(f"{value_path}: unsupported value type {type(value).__name__}")
-        records.append(PopulationRecord(record_id=record_id, criteria=criteria))
+                raise SchemaError(f"population[{index}].{key}: unsupported value type {kind.__name__}")
+        records.append(PopulationRecord(record_id, criteria))
     if not records:
         raise SchemaError("population: no records")
     return records

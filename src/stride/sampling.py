@@ -13,7 +13,9 @@ that index list, so its draws are those of drawing the records.  It
 draws them itself, from the generator's 32-bit outputs read in large
 batches, and makes exactly the draws of ``random.Random(seed).sample``
 per size, so the algorithm is pinned here: a change to the stdlib's
-``sample`` cannot silently move a curve.
+``sample`` cannot silently move a curve.  A last size equal to the
+population is not drawn: that sample is the population, so its point is
+``0.0``, and no later size reads the generator.
 
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
@@ -256,14 +258,28 @@ def categorical_distribution(
 # ---------------------------------------------------------------------------
 
 
+# How far a distribution's probabilities may sum from 1.
+_SUM_TOLERANCE = 1e-9
+
+
 def _label_map(dist: Distribution) -> dict[str, float]:
+    """``dist``'s probabilities by label, refusing a distribution that is not one."""
+    criterion = dist.criterion
     if len(set(dist.categories)) != len(dist.categories):
-        raise SchemaError(f"criterion {dist.criterion!r}: duplicate category labels")
+        raise SchemaError(f"criterion {criterion!r}: duplicate category labels")
+    if len(dist.probabilities) != len(dist.categories):
+        raise SchemaError(
+            f"criterion {criterion!r}: {len(dist.probabilities)} probabilities for {len(dist.categories)} categories"
+        )
+    total = 0.0
     for probability in dist.probabilities:
+        if isinstance(probability, bool) or not isinstance(probability, (int, float)):
+            raise SchemaError(f"criterion {criterion!r}: probabilities must be real numbers, got {probability!r}")
         if not _is_finite(probability) or probability < 0:
-            raise SchemaError(
-                f"criterion {dist.criterion!r}: probabilities must be finite and >= 0, got {probability!r}"
-            )
+            raise SchemaError(f"criterion {criterion!r}: probabilities must be finite and >= 0, got {probability!r}")
+        total += probability  # a left-to-right fold from 0.0, not sum(), as elsewhere here
+    if not abs(total - 1.0) <= _SUM_TOLERANCE:
+        raise SchemaError(f"criterion {criterion!r}: probabilities must sum to 1, got {total!r}")
     return dict(zip(dist.categories, dist.probabilities))
 
 
@@ -285,6 +301,8 @@ def js_divergence(p: Distribution, q: Distribution) -> float:
 
     Categories are aligned by label; labels missing from one side count
     as probability zero there.  Zero-probability terms contribute zero.
+    Each side must be a distribution: one real, finite, non-negative
+    probability per distinct label, summing to 1 within 1e-9.
     Symmetric down to the last bit: js_divergence(p, q) == js_divergence(q, p).
     """
     p_map = _label_map(p)
@@ -400,26 +418,39 @@ def saturation_curve(
     earlier sizes, so the whole curve is deterministic for a fixed seed.
     The draws are made here, not by ``random.sample``, so a future change
     to the stdlib's algorithm cannot move the curve.
+
+    A last size equal to ``len(population)`` draws nothing: its sample is
+    the whole population, so its point is ``0.0``.  Such a size anywhere
+    else is drawn, so that the sizes after it draw what they would have.
+    Every size is checked, in order, before its point is made.
     """
     binning, indices = _bin_column(population, criterion, bins)
     population_counts = _counts(indices, binning)
     population_total = _total(population_counts, criterion)
     population_probs = [count / population_total for count in population_counts]
     words = _word_stream(random.Random(seed))
+    n = len(population)
+    last = len(sizes) - 1
     points = []
-    for size in sizes:
+    for position, size in enumerate(sizes):
         if not _is_int(size):
             raise SchemaError(f"sizes must hold integers, got {size!r}")
-        if not 0 < size <= len(population):
-            raise ComputationError(f"sample size {size} outside [1, {len(population)}]")
-        # The draws pick by position only, so drawing from the indices uses
-        # the generator exactly as drawing the records would.  The categories
-        # are in sorted-label order, so the divergence adds the terms of
-        # js_divergence(sample, population) in the same order.
-        drawn, picked = _draw(words, indices, size)
-        counts = _counts(picked, binning)
-        if not drawn:
-            counts = [whole - left for whole, left in zip(population_counts, counts)]
+        if not 0 < size <= n:
+            raise ComputationError(f"sample size {size} outside [1, {n}]")
+        if size == n and position == last:
+            # A whole-population sample is drawn in the pool branch and leaves
+            # no record undrawn, so its counts are the population's; the
+            # generator is not read again, so the draw can be skipped.
+            counts = population_counts
+        else:
+            # The draws pick by position only, so drawing from the indices uses
+            # the generator exactly as drawing the records would.  The categories
+            # are in sorted-label order, so the divergence adds the terms of
+            # js_divergence(sample, population) in the same order.
+            drawn, picked = _draw(words, indices, size)
+            counts = _counts(picked, binning)
+            if not drawn:
+                counts = [whole - left for whole, left in zip(population_counts, counts)]
         points.append(SaturationPoint(size, _jsd_from_counts(counts, _total(counts, criterion), population_probs)))
     return tuple(points)
 

@@ -217,6 +217,41 @@ class TestDivergence:
             js_divergence(p, q)
         assert str(caught.value) == f"criterion 'c': probabilities must be finite and >= 0, got {bad!r}"
 
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ((1.0,), "1 probabilities for 2 categories"),
+            ((0.5, 0.25, 0.25), "3 probabilities for 2 categories"),
+            ((0.9, 0.9), "probabilities must sum to 1, got 1.8"),
+            ((0.5, 0.25), "probabilities must sum to 1, got 0.75"),
+            ((0.0, 0.0), "probabilities must sum to 1, got 0.0"),
+            ((0.5, 0.5 + 2e-9), f"probabilities must sum to 1, got {0.5 + (0.5 + 2e-9)!r}"),
+            (("0.5", 0.5), "probabilities must be real numbers, got '0.5'"),
+            ((None, 1.0), "probabilities must be real numbers, got None"),
+            ((True, False), "probabilities must be real numbers, got True"),
+            ((1.0, False), "probabilities must be real numbers, got False"),
+        ],
+        ids=["too-few", "too-many", "sum-1.8", "sum-0.75", "sum-0", "sum-past-tolerance", "str", "none", "bools", "bool"],
+    )
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_malformed_distribution_is_rejected(self, probabilities, message, side):
+        good = Distribution("c", ("a", "b"), (0.5, 0.5))
+        bad_dist = Distribution("c", ("a", "b"), probabilities)
+        p, q = (bad_dist, good) if side == "p" else (good, bad_dist)
+        with pytest.raises(SchemaError) as caught:
+            js_divergence(p, q)
+        assert str(caught.value) == f"criterion 'c': {message}"
+
+    def test_probabilities_within_the_sum_tolerance_are_accepted(self):
+        uniform = Distribution("c", ("a", "b"), (0.5, 0.5))
+        assert js_divergence(Distribution("c", ("a", "b"), (1, 0)), uniform) == js_divergence(
+            Distribution("c", ("a", "b"), (1.0, 0.0)), uniform
+        )
+        thirds = Distribution("c", ("a", "b", "d"), (0.1 + 0.2, 0.3, 0.4 - 5e-10))
+        assert 0.0 < js_divergence(thirds, uniform) < 1.0
+        tenths = Distribution("c", tuple("abcdefghij"), (0.1,) * 10)  # sums to 0.9999999999999999
+        assert js_divergence(tenths, tenths) == 0.0
+
     def test_sigma_of_equal_shares_is_zero(self):
         assert representativeness_sigma([0.2, 0.2, 0.2]) == 0.0
 

@@ -12,8 +12,15 @@ import random
 import pytest
 
 import sampling_oracle as oracle
-from stride.errors import SchemaError
-from stride.sampling import PopulationRecord, categorical_distribution, saturation_curve, select_representative_sample
+from stride import sampling
+from stride.errors import ComputationError, SchemaError
+from stride.sampling import (
+    PopulationRecord,
+    SaturationPoint,
+    categorical_distribution,
+    saturation_curve,
+    select_representative_sample,
+)
 
 ALL_CRITERIA = ("kind", "flag", "size", "tags")
 
@@ -266,3 +273,90 @@ class TestCurveMatchesOracle:
                 expected = oracle.saturation_curve(population, "size", sizes, seed, bins=bins)
                 _assert_same_curve(saturation_curve(population, "size", sizes, seed, bins=bins), expected)
         assert 0.0 in categorical_distribution(population, "size", 10).probabilities
+
+
+class TestFinalFullPopulationPoint:
+    """A last size equal to the population is not drawn: its point is the population's own, 0.0.
+
+    Every other size is drawn as before, a whole-population size that is
+    not last included, since the sizes after it must see the generator
+    exactly where ``random.sample`` would leave it.
+    """
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The sizes ``_draw`` is called with, and whether each drew its sample or what it left."""
+        calls = []
+        real = sampling._draw
+
+        def spy(words, items, k):
+            drawn, picked = real(words, items, k)
+            calls.append((k, drawn))
+            return drawn, picked
+
+        monkeypatch.setattr(sampling, "_draw", spy)
+        return calls
+
+    def _assert_curve(self, population, criterion, sizes, seed, **kwargs):
+        points = saturation_curve(population, criterion, sizes, seed, **kwargs)
+        _assert_same_curve(points, oracle.saturation_curve(population, criterion, sizes, seed, **kwargs))
+        return points
+
+    @pytest.mark.parametrize("criterion", ALL_CRITERIA)
+    def test_sizes_that_end_at_the_population(self, criterion, draws):
+        # At n = 400 a draw of up to 20 picks a set of positions and one of 300 or more shuffles a pool.
+        population = _population(35, 400, False, empty_tags=False)
+        sizes = [3, 20, 300, 399, 400]
+        for seed in range(8):
+            draws.clear()
+            points = self._assert_curve(population, criterion, sizes, seed)
+            assert points[-1] == SaturationPoint(400, 0.0)
+            assert draws == [(3, True), (20, True), (300, False), (399, False)]
+
+    @pytest.mark.parametrize("criterion", ALL_CRITERIA)
+    def test_population_size_in_the_middle_is_drawn(self, criterion, draws):
+        population = _population(36, 90, True, empty_tags=False)
+        for sizes in ([5, 90, 7, 89, 90], [90, 3], [90, 90, 90], [2, 90, 90, 60]):
+            for seed in range(4):
+                draws.clear()
+                points = self._assert_curve(population, criterion, sizes, seed)
+                assert [p.divergence for p in points if p.sample_size == 90] == [0.0] * sizes.count(90)
+                drawn_sizes = sizes[:-1] if sizes[-1] == 90 else sizes
+                assert [k for k, _ in draws] == drawn_sizes
+
+    @pytest.mark.parametrize("bins", [2, 10])
+    @pytest.mark.parametrize("criterion", ALL_CRITERIA)
+    def test_population_size_alone(self, criterion, bins, draws):
+        population = _population(37, 150, False, empty_tags=False)
+        assert self._assert_curve(population, criterion, [150], 11, bins=bins) == (SaturationPoint(150, 0.0),)
+        assert draws == []
+
+    @pytest.mark.parametrize("criterion", ALL_CRITERIA)
+    def test_one_record(self, criterion, draws):
+        population = _population(38, 1, False, empty_tags=False)
+        for sizes in ([1], [1, 1], [1, 1, 1]):
+            points = self._assert_curve(population, criterion, sizes, 0)
+            assert points == tuple(SaturationPoint(1, 0.0) for _ in sizes)
+        assert [k for k, _ in draws] == [1, 1, 1]  # all but the last of each curve
+
+    def test_multilabel_population_with_empty_tag_lists(self, draws):
+        population = _population(39, 60, False)
+        assert () in {record.criteria["tags"] for record in population}
+        for seed in range(10):
+            try:
+                expected = oracle.saturation_curve(population, "tags", [6, 45, 60], seed)
+            except ZeroDivisionError:  # a draw of untagged records only
+                continue
+            _assert_same_curve(saturation_curve(population, "tags", [6, 45, 60], seed), expected)
+            assert expected[-1].divergence == 0.0
+
+    def test_sizes_are_still_checked_in_order(self):
+        population = _population(40, 30, False)
+        with pytest.raises(ComputationError, match=r"^sample size 31 outside \[1, 30\]$"):
+            saturation_curve(population, "kind", [30, 31], 0)
+        with pytest.raises(ComputationError, match=r"^sample size 0 outside \[1, 30\]$"):
+            saturation_curve(population, "kind", [0, 30], 0)
+        with pytest.raises(SchemaError, match=r"^sizes must hold integers, got 30\.0$"):
+            saturation_curve(population, "kind", [5, 30.0], 0)
+        with pytest.raises(SchemaError, match=r"^sizes must hold integers, got True$"):
+            saturation_curve(population[:1], "kind", [True], 0)
