@@ -5,17 +5,18 @@ issue keys, attach human-supplied classifications with interval-valued
 adjustments, and fold the item adjustments into a net interval.  The
 tool never invents a classification beyond the fallback bucket for
 unannotated non-zero differences, and it never rescales scores; scale
-mismatches are reported as found.
+mismatches are reported as found.  The JSON document is the report's
+dataclass fields plus ``spec_version``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ComputationError, SchemaError
 from .model import SPEC_VERSION
@@ -177,8 +178,8 @@ def attach_classification(
     """Turn diffs into classified items.
 
     Annotated diffs take the analyst's category and adjustment.
-    Unannotated diffs with a non-zero delta fall back to
-    ``other_scoring_error`` with the degenerate interval [delta, delta].
+    Unannotated diffs with a non-zero delta are annotated with
+    ``other_scoring_error`` and the degenerate interval [delta, delta].
     Zero or one-sided diffs without an annotation produce no item.
     """
     keys = {diff.issue_key for diff in diffs}
@@ -189,40 +190,29 @@ def attach_classification(
     items = []
     for diff in diffs:
         annotation = annotations.get(diff.issue_key)
-        if annotation is not None:
-            validate_interval(annotation.adjustment, f"annotations[{diff.issue_key!r}].adjustment")
-            if annotation.stride_assessment is not None:
-                assessment = validate_interval(
-                    annotation.stride_assessment,
-                    f"annotations[{diff.issue_key!r}].stride_assessment",
-                )
-            elif diff.stride_score is not None:
-                assessment = Interval(diff.stride_score, diff.stride_score)
-            else:
-                assessment = None
-            items.append(
-                DiscrepancyItem(
-                    issue_key=diff.issue_key,
-                    baseline_score=diff.baseline_score,
-                    stride_assessment=assessment,
-                    category=annotation.category,
-                    adjustment=annotation.adjustment,
-                    evidence_refs=annotation.evidence_refs,
-                    narrative=annotation.narrative,
-                )
+        if annotation is None:
+            if diff.delta is None or diff.delta == 0:
+                continue
+            annotation = Annotation(DiscrepancyCategory.OTHER_SCORING_ERROR, Interval(diff.delta, diff.delta))
+        path = f"annotations[{diff.issue_key!r}]"
+        validate_interval(annotation.adjustment, f"{path}.adjustment")
+        if annotation.stride_assessment is not None:
+            assessment = validate_interval(annotation.stride_assessment, f"{path}.stride_assessment")
+        elif diff.stride_score is not None:
+            assessment = Interval(diff.stride_score, diff.stride_score)
+        else:
+            assessment = None
+        items.append(
+            DiscrepancyItem(
+                issue_key=diff.issue_key,
+                baseline_score=diff.baseline_score,
+                stride_assessment=assessment,
+                category=annotation.category,
+                adjustment=annotation.adjustment,
+                evidence_refs=annotation.evidence_refs,
+                narrative=annotation.narrative,
             )
-        elif diff.delta is not None and diff.delta != 0:
-            items.append(
-                DiscrepancyItem(
-                    issue_key=diff.issue_key,
-                    baseline_score=diff.baseline_score,
-                    stride_assessment=Interval(diff.stride_score, diff.stride_score),
-                    category=DiscrepancyCategory.OTHER_SCORING_ERROR,
-                    adjustment=Interval(diff.delta, diff.delta),
-                    evidence_refs=(),
-                    narrative="",
-                )
-            )
+        )
     return tuple(items)
 
 
@@ -272,40 +262,26 @@ def format_signed(value: float) -> str:
     return f"{value:+.4g}"
 
 
-def format_interval(interval: Interval) -> str:
+def _point_or_range(interval: Interval, number: Callable[[float], str]) -> str:
     if interval.lower == interval.upper:
-        return format_signed(interval.lower)
-    return f"{format_signed(interval.lower)} to {format_signed(interval.upper)}"
+        return number(interval.lower)
+    return f"{number(interval.lower)} to {number(interval.upper)}"
 
 
-def _item_dict(item: DiscrepancyItem) -> dict:
-    return {
-        "issue_key": item.issue_key,
-        "baseline_score": item.baseline_score,
-        "stride_assessment": None
-        if item.stride_assessment is None
-        else {"lower": item.stride_assessment.lower, "upper": item.stride_assessment.upper},
-        "category": item.category.value,
-        "adjustment": {"lower": item.adjustment.lower, "upper": item.adjustment.upper},
-        "evidence_refs": list(item.evidence_refs),
-        "narrative": item.narrative,
-    }
+def format_interval(interval: Interval) -> str:
+    return _point_or_range(interval, format_signed)
 
 
 def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
     """Render a delta report's items and net adjustment as JSON or markdown.
 
-    Output is a pure function of the report: same report, same bytes.
+    The JSON document is ``spec_version`` plus the report's dataclass
+    fields under their own names, with sorted keys; an interval is an
+    object of ``lower`` and ``upper``.  Output is a pure function of the
+    report: same report, same bytes.
     """
     if format == "json":
-        net = report.net_adjustment
-        document = {
-            "spec_version": SPEC_VERSION,
-            "baseline_overall": report.baseline_overall,
-            "items": [_item_dict(item) for item in report.items],
-            "net_adjustment": {"lower": net.lower, "upper": net.upper},
-            "notes": report.notes,
-        }
+        document = {"spec_version": SPEC_VERSION, **asdict(report)}
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if format == "markdown":
         return _markdown_report(report)
@@ -318,12 +294,8 @@ def _markdown_report(report: DeltaReport) -> str:
         lines += [f"Baseline overall rating: {report.baseline_overall}", ""]
     for item in report.items:
         baseline_text = "not scored" if item.baseline_score is None else f"{item.baseline_score:g}"
-        if item.stride_assessment is None:
-            ours_text = "not scored"
-        elif item.stride_assessment.lower == item.stride_assessment.upper:
-            ours_text = f"{item.stride_assessment.lower:g}"
-        else:
-            ours_text = f"{item.stride_assessment.lower:g} to {item.stride_assessment.upper:g}"
+        ours = item.stride_assessment
+        ours_text = "not scored" if ours is None else _point_or_range(ours, "{:g}".format)
         lines += [
             f"## {item.issue_key}",
             "",

@@ -325,7 +325,11 @@ def representativeness_sigma(shares: Sequence[float]) -> float:
     """Population standard deviation of stratum shares around their mean."""
     if not shares:
         raise SchemaError("shares must be non-empty")
-    if not all(map(_is_finite, shares)):
+    try:
+        finite = all(map(_is_finite, shares))
+    except TypeError:
+        raise SchemaError("shares must be real numbers") from None
+    if not finite:
         raise SchemaError("shares must be finite (no NaN or infinity)")
     if max(shares) == min(shares):
         return 0.0  # uniform shares have zero spread, exactly

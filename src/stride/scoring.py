@@ -58,13 +58,22 @@ _WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 def sigmoid(z: float) -> float:
-    """Logistic function, kept strictly inside (0, 1) even at extreme inputs."""
-    if z >= 0:
-        value = 1.0 / (1.0 + math.exp(-z))
-    else:
-        # exp(z) underflows to 0 rather than overflowing for very negative z
-        expz = math.exp(z)
-        value = expz / (1.0 + expz)
+    """Logistic function, kept strictly inside (0, 1) even at extreme inputs.
+
+    Raises :class:`ComputationError` for NaN and for an integer beyond
+    float range; ``±inf`` give the clamped endpoints.
+    """
+    if z != z:
+        raise ComputationError("sigmoid input is NaN")
+    try:
+        if z >= 0:
+            value = 1.0 / (1.0 + math.exp(-z))
+        else:
+            # exp(z) underflows to 0 rather than overflowing for very negative z
+            expz = math.exp(z)
+            value = expz / (1.0 + expz)
+    except OverflowError:  # an integer too large for a float
+        raise ComputationError("sigmoid input is beyond float range") from None
     if value == 1.0:
         return math.nextafter(1.0, 0.0)
     if value == 0.0:
@@ -139,8 +148,15 @@ def statistical_methodology(
         raise ComputationError("methodology weights must be non-negative")
     if abs(saturation_weight + representativeness_weight - 1.0) > _WEIGHT_SUM_TOLERANCE:
         raise ComputationError("methodology weights must sum to 1")
-    saturation = min(1.0, sample_size / saturation_threshold)
-    return saturation_weight * saturation + representativeness_weight * (1.0 - share_deviation)
+    try:
+        saturation = min(1.0, sample_size / saturation_threshold)
+    except OverflowError:
+        raise ComputationError("sample_size is beyond float range") from None
+    try:
+        representativeness = 1.0 - share_deviation
+    except OverflowError:
+        raise ComputationError("share_deviation is beyond float range") from None
+    return saturation_weight * saturation + representativeness_weight * representativeness
 
 
 def ground_truth(
@@ -208,8 +224,11 @@ def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
         return None
     steps = len(accuracy_series) - 1
     total = 0.0
-    for t in range(1, len(accuracy_series)):
-        total += accuracy_series[t] - accuracy_series[t - 1]
+    try:
+        for t in range(1, len(accuracy_series)):
+            total += accuracy_series[t] - accuracy_series[t - 1]
+    except OverflowError:  # an integer too large for a float
+        raise ComputationError(f"accuracy_series[{t - 1}:{t + 1}]: step is beyond float range") from None
     return total / steps
 
 

@@ -70,7 +70,7 @@ class TestScore:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert captured.out == ""
-        assert json.loads(out.read_text())["component_scores"]["S"] == 1.0
+        assert json.loads(out.read_text(encoding="utf-8"))["component_scores"]["S"] == 1.0
 
     def test_rescoring_reuses_the_run_id(self, store, manifest_file, capsys):
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
@@ -177,7 +177,9 @@ class TestExplain:
         assert main(["explain", "--run", run_id]) == 0
         expected = capsys.readouterr().out
         path = store / f"{run_id}.json"
-        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+        path.write_text(
+            json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
         assert main(["explain", "--run", run_id]) == 0
         assert capsys.readouterr().out == expected
 
@@ -196,7 +198,9 @@ class TestExplain:
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
         run_id = capsys.readouterr().err.split()[-1]
         path = store / f"{run_id}.json"
-        path.write_text(path.read_text().replace('"trust":', f'"trust":{literal},"was":'))
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"trust":', f'"trust":{literal},"was":'), encoding="utf-8"
+        )
         exit_code = main(["explain", "--run", run_id])
         captured = capsys.readouterr()
         assert exit_code == 3
@@ -216,9 +220,9 @@ class TestExplain:
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
         run_id = capsys.readouterr().err.split()[-1]
         path = store / f"{run_id}.json"
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         raw[key] = value
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         exit_code = main(["explain", "--run", run_id])
         captured = capsys.readouterr()
         assert exit_code == 3
@@ -229,9 +233,9 @@ class TestExplain:
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
         run_id = capsys.readouterr().err.split()[-1]
         path = store / f"{run_id}.json"
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         raw["config_digest"] = "not checked"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         exit_code = main(["explain", "--run", run_id])
         captured = capsys.readouterr()
         assert exit_code == 3
@@ -488,8 +492,8 @@ class TestDeltaOverflow:
     @pytest.mark.parametrize("fmt", ["json", "markdown"])
     def test_a_delta_beyond_float_range_exits_3(self, tmp_path, capsys, fmt):
         scale = (-1.7e308, 1.7e308)
-        (tmp_path / "base.json").write_text(_rating({"pay": -1.7e308}, scale))
-        (tmp_path / "ours.json").write_text(_rating({"pay": 1.7e308}, scale))
+        (tmp_path / "base.json").write_text(_rating({"pay": -1.7e308}, scale), encoding="utf-8")
+        (tmp_path / "ours.json").write_text(_rating({"pay": 1.7e308}, scale), encoding="utf-8")
         argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
         assert main(argv + ["--format", fmt]) == 3
         captured = capsys.readouterr()
@@ -500,10 +504,10 @@ class TestDeltaOverflow:
 
     @pytest.mark.parametrize("fmt", ["json", "markdown"])
     def test_a_net_adjustment_beyond_float_range_exits_3(self, tmp_path, capsys, fmt):
-        (tmp_path / "base.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)))
-        (tmp_path / "ours.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)))
+        (tmp_path / "base.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)), encoding="utf-8")
+        (tmp_path / "ours.json").write_text(_rating({"a": 1.0, "b": 2.0}, (0.0, 10.0)), encoding="utf-8")
         adjustment = {"category": "definition_ambiguity", "adjustment": 1.5e308}
-        (tmp_path / "notes.json").write_text(json.dumps({"a": adjustment, "b": adjustment}))
+        (tmp_path / "notes.json").write_text(json.dumps({"a": adjustment, "b": adjustment}), encoding="utf-8")
         argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
         assert main(argv + ["--annotations", str(tmp_path / "notes.json"), "--format", fmt]) == 3
         captured = capsys.readouterr()
@@ -525,7 +529,7 @@ class TestDeeplyNestedJson:
     )
     def test_a_deep_document_exits_2(self, store, manifest_file, rating_files, tmp_path, capsys, argv):
         deep = tmp_path / "deep.json"
-        deep.write_text(self.DEEP)
+        deep.write_text(self.DEEP, encoding="utf-8")
         paths = {"deep": deep, "manifest": manifest_file, "rating": rating_files[0]}
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
@@ -536,7 +540,9 @@ class TestDeeplyNestedJson:
         main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
         run_id = capsys.readouterr().err.split()[-1]
         path = store / f"{run_id}.json"
-        path.write_text(path.read_text().replace('"trust":', f'"deep":{self.DEEP},"trust":'))
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"trust":', f'"deep":{self.DEEP},"trust":'), encoding="utf-8"
+        )
         assert main(["explain", "--run", run_id]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -547,8 +553,8 @@ class TestIssueScoreKeys:
     def test_an_unknown_issue_score_key_exits_2(self, tmp_path, capsys):
         document = json.loads(_rating({"pay": 1.0}, (0.0, 5.0)))
         document["issue_scores"]["pay"]["scroe"] = 99
-        (tmp_path / "base.json").write_text(json.dumps(document))
-        (tmp_path / "ours.json").write_text(_rating({"pay": 2.0}, (0.0, 5.0)))
+        (tmp_path / "base.json").write_text(json.dumps(document), encoding="utf-8")
+        (tmp_path / "ours.json").write_text(_rating({"pay": 2.0}, (0.0, 5.0)), encoding="utf-8")
         argv = ["delta", "--baseline", str(tmp_path / "base.json"), "--stride", str(tmp_path / "ours.json")]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -583,9 +589,15 @@ class TestPopulationIdentity:
         rows = [("r1", "apac"), ("r1", "emea"), ("r2", "apac"), ("r3", "emea")]
         path = tmp_path / f"population{suffix}"
         if suffix == ".json":
-            path.write_text(json.dumps([{"record_id": rid, "region": region} for rid, region in rows]))
+            path.write_text(
+                json.dumps([{"record_id": rid, "region": region} for rid, region in rows]),
+                encoding="utf-8",
+            )
         else:
-            path.write_text("record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows))
+            path.write_text(
+                "record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows),
+                encoding="utf-8",
+            )
         assert main(SAMPLE_COMMANDS[command] + ["--population", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -598,9 +610,15 @@ class TestPopulationIdentity:
         rows = [("r0", "apac"), (record_id, "emea"), ("r2", "apac")]
         path = tmp_path / f"population{suffix}"
         if suffix == ".json":
-            path.write_text(json.dumps([{"record_id": rid, "region": region} for rid, region in rows]))
+            path.write_text(
+                json.dumps([{"record_id": rid, "region": region} for rid, region in rows]),
+                encoding="utf-8",
+            )
         else:
-            path.write_text("record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows))
+            path.write_text(
+                "record_id,region\n" + "".join(f"{rid},{region}\n" for rid, region in rows),
+                encoding="utf-8",
+            )
         assert main(SAMPLE_COMMANDS[command] + ["--population", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -608,6 +626,9 @@ class TestPopulationIdentity:
 
     def test_a_json_record_id_is_kept_as_written(self, tmp_path, capsys):
         path = tmp_path / "population.json"
-        path.write_text(json.dumps([{"record_id": rid, "region": "apac"} for rid in ("r0", " r0", "r0 ")]))
+        path.write_text(
+            json.dumps([{"record_id": rid, "region": "apac"} for rid in ("r0", " r0", "r0 ")]),
+            encoding="utf-8",
+        )
         assert main(["sample", "select", "--k", "3", "--seed", "0", "--population", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == [" r0", "r0", "r0 "]

@@ -15,6 +15,7 @@ from stride.delta import (
     DiscrepancyItem,
     Interval,
     IssueScore,
+    RatingDiff,
     RatingRecord,
     attach_classification,
     build_delta_report,
@@ -136,6 +137,13 @@ class TestClassification:
         assert item.adjustment == Interval(-2.0, -2.0)
         assert item.narrative == ""
 
+    def test_fallback_without_a_recomputed_score_has_no_assessment(self):
+        # Only a hand-built diff has a delta without a recomputed score.
+        diff = RatingDiff("labor", 6.0, None, -2.0, False)
+        (item,) = attach_classification([diff], {})
+        assert item.stride_assessment is None
+        assert item.adjustment == Interval(-2.0, -2.0)
+
     def test_zero_delta_without_annotation_produces_no_item(self):
         diffs = diff_ratings(_record("b", {"labor": 6.0}), _record("s", {"labor": 6.0}))
         assert attach_classification(diffs, {}) == ()
@@ -226,6 +234,12 @@ class TestDeltaReport:
         text = emit_delta_report(DeltaReport((), ZERO_INTERVAL), "markdown")
         assert "No discrepancies." in text
         assert "**Net adjustment: +0**" in text
+
+    def test_json_writes_a_plain_string_category_as_given(self):
+        item = DiscrepancyItem("labor", 6.0, None, "hand_built", Interval(0.0, 0.5), ("p. 4",), "")
+        document = json.loads(emit_delta_report(DeltaReport((item,), item.adjustment), "json"))
+        assert document["items"][0]["category"] == "hand_built"
+        assert document["items"][0]["evidence_refs"] == ["p. 4"]
 
     def test_unknown_format_is_rejected(self):
         with pytest.raises(SchemaError, match="unknown report format"):

@@ -60,7 +60,13 @@ print(json.dumps([code, sorted(name for name in sys.modules if name.split(".")[0
 def _fresh(code: str, *argv: str, store: Path) -> str:
     env = {**os.environ, "PYTHONPATH": SRC, "STRIDE_STORE": str(store)}
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        check=True,
+        timeout=60,
     )
     return done.stdout
 

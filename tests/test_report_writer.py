@@ -221,5 +221,7 @@ def test_layout_is_built_on_first_use():
         "print(empty, sorted(io._REPORT_LAYOUTS))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, encoding="utf-8", env=env, check=True
+    )
     assert result.stdout == "True [13]\n"

@@ -45,9 +45,9 @@ class TestSaveAndLoad:
 
     def test_saving_twice_is_idempotent(self, report, tmp_path):
         first = save_run(report, tmp_path)
-        before = (tmp_path / f"{first}.json").read_text()
+        before = (tmp_path / f"{first}.json").read_text(encoding="utf-8")
         second = save_run(report, tmp_path)
-        after = (tmp_path / f"{first}.json").read_text()
+        after = (tmp_path / f"{first}.json").read_text(encoding="utf-8")
         assert first == second
         assert before == after
         assert len(list(tmp_path.glob("*.json"))) == 1
@@ -63,22 +63,22 @@ class TestSaveAndLoad:
     def test_loaded_record_rejects_tampering(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
         path = tmp_path / f"{run_id}.json"
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         raw["report"]["trust"] = 0.9
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(StoreError, match="does not match its id"):
             load_run(run_id, tmp_path)
 
     def test_unreadable_record_is_reported(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
-        (tmp_path / f"{run_id}.json").write_text("{not json")
+        (tmp_path / f"{run_id}.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(StoreError, match="cannot read run record"):
             load_run(run_id, tmp_path)
 
     @pytest.mark.parametrize("text", ["[]", "5", '"text"', "null"])
     def test_record_that_is_not_an_object_is_reported(self, report, tmp_path, text):
         run_id = save_run(report, tmp_path)
-        (tmp_path / f"{run_id}.json").write_text(text)
+        (tmp_path / f"{run_id}.json").write_text(text, encoding="utf-8")
         with pytest.raises(StoreError, match="not a JSON object"):
             load_run(run_id, tmp_path)
         with pytest.raises(StoreError, match="not a JSON object"):
@@ -87,17 +87,17 @@ class TestSaveAndLoad:
     def test_existing_record_without_a_report_is_not_overwritten(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
         path = tmp_path / f"{run_id}.json"
-        path.write_text("{}")
+        path.write_text("{}", encoding="utf-8")
         with pytest.raises(StoreError, match="does not match its id"):
             save_run(report, tmp_path)
-        assert path.read_text() == "{}"
+        assert path.read_text(encoding="utf-8") == "{}"
 
     def test_record_missing_fields_is_reported(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
         path = tmp_path / f"{run_id}.json"
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         del raw["config_digest"]
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(StoreError, match="missing field 'config_digest'"):
             load_run(run_id, tmp_path)
 
@@ -131,9 +131,9 @@ class TestResolution:
 
     def test_ambiguous_prefix_is_reported(self, report, tmp_path):
         run_id = save_run(report, tmp_path)
-        sibling = dict(json.loads((tmp_path / f"{run_id}.json").read_text()))
+        sibling = dict(json.loads((tmp_path / f"{run_id}.json").read_text(encoding="utf-8")))
         forged = run_id[:8] + ("0" if run_id[8] != "0" else "1") + run_id[9:]
-        (tmp_path / f"{forged}.json").write_text(json.dumps(sibling))
+        (tmp_path / f"{forged}.json").write_text(json.dumps(sibling), encoding="utf-8")
         with pytest.raises(StoreError, match="ambiguous"):
             resolve_run_id(run_id[:8], tmp_path)
 
@@ -246,7 +246,7 @@ class TestRecordEnvelope:
 class TestStoreErrors:
     def test_store_under_a_file_is_a_store_error(self, report, tmp_path):
         blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
+        blocker.write_text("not a directory", encoding="utf-8")
         with pytest.raises(StoreError, match="cannot open run store"):
             save_run(report, blocker / "store")
 
@@ -263,7 +263,7 @@ class TestStoreErrors:
 class TestNonFiniteRecords:
     def _write_record(self, path, report_dict, run_id):
         record = {"run_id": run_id, "timestamp": "t", "manifest_digest": "m", "config_digest": "c", "report": report_dict}
-        path.write_text(json.dumps(record, sort_keys=True))
+        path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
 
     def test_report_holding_nan_is_refused_before_anything_is_written(self, report, tmp_path):
         store = tmp_path / "runs"
@@ -297,7 +297,9 @@ class TestNonFiniteRecords:
     def test_existing_record_holding_a_non_finite_number_is_a_store_error(self, report, tmp_path, literal, reason):
         run_id = save_run(report, tmp_path)
         path = tmp_path / f"{run_id}.json"
-        path.write_text(path.read_text().replace('"trust":', f'"trust":{literal},"was":'))
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"trust":', f'"trust":{literal},"was":'), encoding="utf-8"
+        )
         message = f"^cannot read run record {run_id}.json: {reason}$"
         with pytest.raises(StoreError, match=message):
             load_run(run_id, tmp_path)

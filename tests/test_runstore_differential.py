@@ -394,7 +394,7 @@ def test_saves_and_loads_leave_no_descriptor_open(tmp_path, monkeypatch):
 
     store = tmp_path / "runs"
     blocker = tmp_path / "file"
-    blocker.write_text("not a directory")
+    blocker.write_text("not a directory", encoding="utf-8")
     reports = REPORTS[:5]
     ids = [engine.save_run(report, store) for report in reports]
     record = store / f"{ids[0]}.json"

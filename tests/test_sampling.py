@@ -267,6 +267,10 @@ class TestDivergence:
         with pytest.raises(SchemaError, match=r"^shares must be finite \(no NaN or infinity\)$"):
             representativeness_sigma(shares)
 
+    def test_sigma_refuses_non_numbers(self):
+        with pytest.raises(SchemaError, match="real numbers"):
+            representativeness_sigma(["a"])
+
 
 class TestSaturationCurve:
     def test_curve_is_deterministic(self, region_population):

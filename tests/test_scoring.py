@@ -82,6 +82,18 @@ class TestSigmoid:
     def test_known_value(self):
         assert sigmoid(0.5) == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-15)
 
+    def test_infinities_give_the_clamped_endpoints(self):
+        assert sigmoid(math.inf) == math.nextafter(1.0, 0.0)
+        assert sigmoid(-math.inf) == math.nextafter(0.0, 1.0)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ComputationError, match="NaN"):
+            sigmoid(math.nan)
+
+    def test_integer_beyond_float_range_is_refused(self):
+        with pytest.raises(ComputationError, match="beyond float range"):
+            sigmoid(10**400)
+
 
 class TestLeafMetrics:
     def test_inclusiveness_full_coverage_without_external_data(self):
@@ -183,6 +195,17 @@ class TestLeafMetrics:
     def test_iterative_feedback_mean_step(self):
         assert iterative_feedback((0.5, 0.7, 0.6)) == pytest.approx(0.05, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "args, name", [((10**400, 10, 0.1), "sample_size"), ((10, 10, 10**400), "share_deviation")]
+    )
+    def test_methodology_refuses_an_argument_beyond_float_range(self, args, name):
+        with pytest.raises(ComputationError, match=f"{name} is beyond float range"):
+            statistical_methodology(*args)
+
+    def test_iterative_feedback_refuses_a_step_beyond_float_range(self):
+        with pytest.raises(ComputationError, match=r"accuracy_series\[0:2\]"):
+            iterative_feedback([0.0, 10**400])
+
     def test_iterative_feedback_needs_two_points(self):
         assert iterative_feedback(()) is None
         assert iterative_feedback((0.9,)) is None
@@ -239,6 +262,14 @@ class TestAggregation:
         high_self_serving = trust_score(0.8, 0.8, 0.4, 1.0, alpha)
         low_self_serving = trust_score(0.8, 0.8, 0.4, 0.2, alpha)
         assert high_self_serving < low_self_serving
+
+    def test_trust_score_refuses_a_nan_component(self):
+        with pytest.raises(ComputationError, match="NaN"):
+            trust_score(math.nan, 0.5, 0.5, 0.5, (0.25,) * 4)
+
+    def test_trust_score_refuses_infinity_minus_infinity(self):
+        with pytest.raises(ComputationError, match="NaN"):
+            trust_score(math.inf, 0.5, 0.5, math.inf, (0.25,) * 4)
 
 
 class TestScoreDataset:
