@@ -23,9 +23,12 @@ applicable), duplicate and missing sub-scores, the trust range, the
 partial ``applicability`` map, and an interval's number-or-pair form.
 The writers are written out by hand as well.
 
-The JSON population reader does not go through the tables, since a
-record is a flat object of any keys: it reads the decoded records in one
-pass and keeps each decoder dict as its record's criteria.
+The population readers do not go through the tables, since a record is
+a flat object of any keys.  JSON objects and CSV rows go through one
+record loop, which holds every record rule (the id, finite numbers,
+label lists, at least one record) and keeps each row's dict as its
+record's criteria.  The CSV reader checks its header and row lengths,
+strips each id, and coerces every other cell to the value it stands for.
 
 The population, rating-record and annotation readers import
 :mod:`stride.sampling`, :mod:`stride.delta` and :mod:`csv` when called,
@@ -38,7 +41,7 @@ import io as _stdio
 import json
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import is_dataclass
 from datetime import date
 from functools import cache
@@ -541,22 +544,22 @@ _SUB_SCORE_FIELDS = _build_codec(SubScore, value=lambda value, path: value)
 _DECODERS[SubScore] = _sub_score
 
 
-def report_from_dict(document: dict, path: str = "report") -> StrideReport:
-    root = dict(_obj(document, path))
-    version = _as_str(_take(root, "spec_version", path), f"{path}.spec_version")
+def report_from_dict(document: dict) -> StrideReport:
+    root = dict(_obj(document, "report"))
+    version = _as_str(_take(root, "spec_version", "report"), "report.spec_version")
     if version != SPEC_VERSION:
-        raise SchemaError(f"{path}.spec_version: unsupported version {version!r}")
-    report = _field_codec(StrideReport)[0](root, path)
+        raise SchemaError(f"report.spec_version: unsupported version {version!r}")
+    report = _field_codec(StrideReport)[0](root, "report")
     seen: set[MetricId] = set()
     for index, sub in enumerate(report.sub_scores):
         if sub.metric_id in seen:
-            raise SchemaError(f"{path}.sub_scores[{index}].metric_id: duplicate entry for {sub.metric_id.value}")
+            raise SchemaError(f"report.sub_scores[{index}].metric_id: duplicate entry for {sub.metric_id.value}")
         seen.add(sub.metric_id)
     missing = [code for metric, code in METRIC_CODES if metric not in seen]
     if missing:
-        raise SchemaError(f"{path}.sub_scores: missing entries for {', '.join(missing)}")
+        raise SchemaError(f"report.sub_scores: missing entries for {', '.join(missing)}")
     if not 0 < report.trust < 1:
-        raise SchemaError(f"{path}.trust: must lie strictly between 0 and 1, got {report.trust!r}")
+        raise SchemaError(f"report.trust: must lie strictly between 0 and 1, got {report.trust!r}")
     return report
 
 
@@ -566,9 +569,10 @@ def report_from_dict(document: dict, path: str = "report") -> StrideReport:
 
 
 def _coerce_csv_cell(text: str) -> object:
+    """A CSV cell as the JSON value it stands for; ``|`` joins the labels of a list."""
     cell = text.strip()
     if "|" in cell:
-        return tuple(part for part in (piece.strip() for piece in cell.split("|")) if part)
+        return [part for part in (piece.strip() for piece in cell.split("|")) if part]
     lowered = cell.lower()
     if lowered == "true":
         return True
@@ -585,14 +589,6 @@ def _coerce_csv_cell(text: str) -> object:
     return cell
 
 
-def _criterion_cell(value: object, path: str, key: str) -> object:
-    """A population value; a number must be finite and within float range."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
-        raise _non_finite_cell(path, key)
-    return value
-
-
 def _non_finite_cell(path: str, key: str) -> SchemaError:
     return SchemaError(f"{path}.{key}: criterion {key!r}: numeric values must be finite")
 
@@ -601,17 +597,21 @@ _ABSENT = object()
 
 
 def _population_from_json(text: str) -> list[PopulationRecord]:
-    """Records from a JSON array of flat objects, read in one pass.
+    """Records from a JSON array of flat objects, read in one pass."""
+    return _population_records(_as_list(_load_json(text), "population"))
 
-    Each decoded object becomes its record's ``criteria`` once its
-    ``record_id`` is popped and its lists are turned into tuples in place.
-    Values are dispatched on their exact type, since ``json.loads`` makes
-    only exact dicts, lists, strings, ints, floats, bools and ``None``, and
-    a field's path is spelled out only when it is refused.
+
+def _population_records(entries: Iterable[object]) -> list[PopulationRecord]:
+    """Records from decoded rows, JSON objects or CSV rows alike.
+
+    Each row becomes its record's ``criteria`` once its ``record_id`` is
+    popped and its lists are turned into tuples in place.  Values are
+    dispatched on their exact type, since ``json.loads`` makes only exact
+    dicts, lists, strings, ints, floats, bools and ``None``, and a field's
+    path is spelled out only when it is refused.
     """
     from .sampling import PopulationRecord
 
-    entries = _as_list(_load_json(text), "population")
     records = []
     for index, criteria in enumerate(entries):
         if type(criteria) is not dict:
@@ -648,8 +648,6 @@ def _population_from_json(text: str) -> list[PopulationRecord]:
 def _population_from_csv(text: str) -> list[PopulationRecord]:
     import csv
 
-    from .sampling import PopulationRecord
-
     reader = csv.DictReader(_stdio.StringIO(text))
     columns = reader.fieldnames
     if columns is None or "record_id" not in columns:
@@ -657,23 +655,18 @@ def _population_from_csv(text: str) -> list[PopulationRecord]:
     repeated = [column for index, column in enumerate(columns) if column in columns[:index]]
     if repeated:  # DictReader would keep only the last of them
         raise SchemaError(f"population: CSV header repeats column {repeated[0]!r}")
-    records = []
-    for index, row in enumerate(reader):
-        path = f"population[{index}]"
-        record_id = (row.get("record_id") or "").strip()
-        if not record_id:
-            raise SchemaError(f"{path}.record_id: missing value")
-        if None in row:  # DictReader files surplus cells under None
-            raise SchemaError(f"{path}: {len(row[None])} more cell(s) than header columns")
-        criteria = {
-            key: _criterion_cell(_coerce_csv_cell(value if value is not None else ""), path, key)
-            for key, value in row.items()
-            if key != "record_id"
-        }
-        records.append(PopulationRecord(record_id=record_id, criteria=criteria))
-    if not records:
-        raise SchemaError("population: no records")
-    return records
+
+    def rows() -> Iterator[dict]:
+        for index, row in enumerate(reader):
+            record_id = (row.pop("record_id") or "").strip()  # an id is stripped, never coerced
+            surplus = row.pop(None, None)  # DictReader files surplus cells under None
+            if surplus is not None and record_id:  # a blank id is reported first
+                raise SchemaError(f"population[{index}]: {len(surplus)} more cell(s) than header columns")
+            row = {key: _coerce_csv_cell(value or "") for key, value in row.items()}
+            row["record_id"] = record_id
+            yield row
+
+    return _population_records(rows())
 
 
 def parse_population(text: str, source_name: str = "") -> list[PopulationRecord]:

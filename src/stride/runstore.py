@@ -21,7 +21,8 @@ record directly: a missing one is written to a new temp file (created
 exclusively, the store directory made only when that creation finds it
 missing) and renamed into place.  An existing record that is exactly
 the one this save would write, up to its timestamp, is kept as it is;
-any other existing record is kept only if its report hashes to the id.
+any other existing record is kept only if :func:`load_run` would serve
+it, checked by the same routine, and otherwise refused with its reason.
 Loading a full 64-digit id opens its record directly, and a prefix or a
 missing record goes through :func:`resolve_run_id`.  Loading parses the
 record, not its bytes, so records written in the older indented form
@@ -141,7 +142,7 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     """Persist ``report``; returns its run id.
 
     Saving the same report twice keeps the single existing record.  A
-    colliding record whose content does not match the id raises
+    colliding record that :func:`load_run` would refuse raises
     :class:`StoreError` instead of being overwritten, and so does any
     filesystem error while creating the store or writing the record.
     """
@@ -164,8 +165,14 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     existing = _open_record(target, absent_ok=True)
     if existing is not None:
         raw, text = _read_record(existing)
-        if not _is_saved_form(text, head) and content_digest(raw.get("report")) != run_id:
-            raise StoreError(f"run {run_id}: stored content does not match its id")
+        if not _is_saved_form(text, head):
+            if content_digest(raw.get("report")) != run_id:
+                raise StoreError(f"run {run_id}: stored content does not match its id")
+            try:  # a record is kept only if load_run would serve it
+                _verified_record(raw, run_id)
+            except StoreError as exc:
+                reason = str(exc).removeprefix(f"run {run_id}: ")
+                raise StoreError(f"run {run_id}: stored content does not match its id: {reason}") from None
         return run_id
 
     data = f'{head}{datetime.now(timezone.utc).isoformat()}"}}\n'.encode("utf-8")
@@ -252,6 +259,11 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
         full_id = resolve_run_id(run_id, store)
         handle = _open_record(_record_path(str(store), full_id))
     raw, _ = _read_record(handle)
+    return _verified_record(raw, full_id)
+
+
+def _verified_record(raw: dict, full_id: str) -> RunRecord:
+    """The run that a parsed record holds, once its report and envelope are checked against ``full_id``."""
     for key in ("run_id", "timestamp", "manifest_digest", "config_digest", "report"):
         if key not in raw:
             raise StoreError(f"run {full_id}: record missing field {key!r}")

@@ -48,13 +48,11 @@ from .model import (
     validate_weight_config,
 )
 
-# Internal mixing weights used when scoring whole manifests.  The
-# methodology metric splits evenly between saturation and share spread;
-# the ground-truth metric splits evenly across its four terms.
+# The fixed blends of the two mixed metrics.  The methodology metric
+# splits evenly between saturation and share spread; the ground-truth
+# metric splits evenly across its four terms.
 METHODOLOGY_WEIGHTS = (0.5, 0.5)
 GROUND_TRUTH_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
-
-_WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 def sigmoid(z: float) -> float:
@@ -84,6 +82,12 @@ def sigmoid(z: float) -> float:
 # ---------------------------------------------------------------------------
 # Leaf metrics
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Refuse NaN and the infinities; an integer beyond float range is left to the arithmetic."""
+    if value != value or value == math.inf or value == -math.inf:
+        raise ComputationError(f"{name} must be finite, got {value!r}")
 
 
 def inclusiveness_materiality(coverage: CoverageProfile) -> float:
@@ -129,14 +133,8 @@ def time_relevance(temporal: TemporalProfile) -> float:
     return math.exp(-temporal.decay_rate * temporal.lag_years)
 
 
-def statistical_methodology(
-    sample_size: int,
-    saturation_threshold: int,
-    share_deviation: float,
-    saturation_weight: float = METHODOLOGY_WEIGHTS[0],
-    representativeness_weight: float = METHODOLOGY_WEIGHTS[1],
-) -> float:
-    """Weighted blend of sample saturation and share-spread representativeness.
+def statistical_methodology(sample_size: int, saturation_threshold: int, share_deviation: float) -> float:
+    """Even blend (``METHODOLOGY_WEIGHTS``) of sample saturation and share-spread representativeness.
 
     The representativeness term is ``1 - share_deviation``, taken as given,
     so the result goes below 0 when ``share_deviation`` exceeds 1:
@@ -144,10 +142,9 @@ def statistical_methodology(
     """
     if saturation_threshold <= 0:
         raise ComputationError("saturation_threshold must be positive")
-    if saturation_weight < 0 or representativeness_weight < 0:
-        raise ComputationError("methodology weights must be non-negative")
-    if abs(saturation_weight + representativeness_weight - 1.0) > _WEIGHT_SUM_TOLERANCE:
-        raise ComputationError("methodology weights must sum to 1")
+    _require_finite("sample_size", sample_size)
+    _require_finite("saturation_threshold", saturation_threshold)
+    _require_finite("share_deviation", share_deviation)
     try:
         saturation = min(1.0, sample_size / saturation_threshold)
     except OverflowError:
@@ -156,32 +153,23 @@ def statistical_methodology(
         representativeness = 1.0 - share_deviation
     except OverflowError:
         raise ComputationError("share_deviation is beyond float range") from None
-    return saturation_weight * saturation + representativeness_weight * representativeness
+    return METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
 
 
-def ground_truth(
-    stats: AnnotationStats,
-    weights: tuple[float, float, float, float] = GROUND_TRUTH_WEIGHTS,
-) -> float:
-    """Annotation quality: human share, tenure, and the two deviation terms.
+def ground_truth(stats: AnnotationStats) -> float:
+    """Annotation quality: human share, tenure, and the two deviation terms, blended evenly.
 
     The deviation terms add as given, so the result can exceed 1.
     """
     if stats.tenure_cap_years <= 0:
         raise ComputationError("annotation.tenure_cap_years must be positive")
-    if any(w < 0 for w in weights):
-        raise ComputationError("ground-truth weights must be non-negative")
-    weight_sum = 0.0
-    for w in weights:
-        weight_sum += w
-    if abs(weight_sum - 1.0) > _WEIGHT_SUM_TOLERANCE:
-        raise ComputationError("ground-truth weights must sum to 1")
     tenure = min(1.0, stats.mean_tenure_years / stats.tenure_cap_years)
+    human, tenured, human_machine, machine_machine = GROUND_TRUTH_WEIGHTS
     return (
-        weights[0] * stats.human_fraction
-        + weights[1] * tenure
-        + weights[2] * stats.human_machine_deviation
-        + weights[3] * stats.machine_machine_deviation
+        human * stats.human_fraction
+        + tenured * tenure
+        + human_machine * stats.human_machine_deviation
+        + machine_machine * stats.machine_machine_deviation
     )
 
 
@@ -189,6 +177,8 @@ def agility(stats: AgilityStats) -> float:
     """Accuracy gain per unit of change, clamped into [0, 1]."""
     if stats.epsilon <= 0:
         raise ComputationError("agility.epsilon must be positive")
+    for field in ("accuracy_gain", "change_proportion", "epsilon"):
+        _require_finite(f"agility.{field}", getattr(stats, field))
     ratio = stats.accuracy_gain / (stats.change_proportion + stats.epsilon)
     return min(1.0, max(0.0, ratio))
 
@@ -222,12 +212,16 @@ def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
     """Mean step-to-step accuracy change; ``None`` for fewer than two points."""
     if len(accuracy_series) < 2:
         return None
+    for index, value in enumerate(accuracy_series):
+        _require_finite(f"accuracy_series[{index}]", value)
     steps = len(accuracy_series) - 1
     total = 0.0
     try:
         for t in range(1, len(accuracy_series)):
             total += accuracy_series[t] - accuracy_series[t - 1]
-    except OverflowError:  # an integer too large for a float
+            if total == math.inf or total == -math.inf:  # a float step, or the running sum, overflowed
+                raise OverflowError
+    except OverflowError:  # also an integer too large for a float
         raise ComputationError(f"accuracy_series[{t - 1}:{t + 1}]: step is beyond float range") from None
     return total / steps
 

@@ -80,6 +80,25 @@ class TestScore:
         assert first == second
         assert len(list(store.glob("*.json"))) == 1
 
+    def test_rescoring_onto_a_record_that_would_not_load_exits_3(self, store, manifest_file, capsys):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["config_digest"] = "0" * 64
+        tampered = json.dumps(record)
+        path.write_text(tampered, encoding="utf-8")
+        assert main(["explain", "--run", run_id]) == 3
+        assert "record config_digest does not match its report" in capsys.readouterr().err
+        exit_code = main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.err == (
+            f"error: run {run_id}: stored content does not match its id: "
+            "record config_digest does not match its report\n"
+        )
+        assert path.read_text(encoding="utf-8") == tampered
+
     def test_invalid_manifest_exits_2(self, store, tmp_path, capsys):
         document = json.loads(fixture_text("luxshare_manifest.json"))
         document["temporal"]["decay_rate"] = -1.0

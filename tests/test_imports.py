@@ -3,7 +3,8 @@
 The package exports its public names lazily, so ``import stride`` loads
 no submodule, and each CLI handler imports what it uses.  The module
 sets are checked in a fresh interpreter per command, since this test
-process has long since imported everything.
+process has long since imported everything.  The package needs nothing
+beyond the standard library, and it declares no runtime dependency.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from stride.cli import main
 from stride.fixtures import fixture_text
 
 SRC = str(Path(stride.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
 
 # The names the package exported when it imported every submodule eagerly.
 EXPORTS = {
@@ -152,3 +155,30 @@ def test_star_import_binds_every_name_and_submodule(tmp_path):
     names = [name for listed in EXPORTS.values() for name in listed.split()]
     assert bound == sorted([*names, *SUBMODULES])
     assert all(modules)
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r"^dependencies\b.*$", project, re.MULTILINE) == ["dependencies = []"]
+
+
+def test_every_submodule_imports_from_the_standard_library_alone():
+    # -S keeps site-packages and any sitecustomize out of the interpreter.
+    probe = (
+        "import importlib, json, pkgutil, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import stride\n"
+        "names = [info.name for info in pkgutil.walk_packages(stride.__path__, 'stride.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps([names, sorted(loaded - set(sys.stdlib_module_names))]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, SRC], capture_output=True, text=True, encoding="utf-8", check=True, timeout=60
+    )
+    names, outside = json.loads(done.stdout)
+    assert {f"stride.{name}" for name in SUBMODULES} | {"stride.cli", "stride.fixtures"} <= set(names)
+    assert outside == ["stride"]

@@ -22,6 +22,7 @@ PINNED = {
     "delta_report_oracle.py": "192d672c70fcd04bc0478053e23c899db185e030071692cca94efe95a4af26ca",
     "digest_oracle.py": "8c0eb6f98a4c11cb1c231e13ac5e3822e1dbbabb4edac6ad42d54becc64fdb83",
     "formula_oracle.py": "8cee91e19e1bd8d5aa0418811cddb6cc0ef2ab311e4576780c442a8f6ee8d97b",
+    "population_csv_oracle.py": "a3d8b463bc54031d3e533da9262e49610cb64ba677c4b68dbecb3bf22f41423c",
     "population_oracle.py": "97c7036a80119298acd2d25514c8957456fe23b0c9a38dbb8ba349812f88887a",
     "report_codec_oracle.py": "4da39c6ad5461fa0da74ff99b79710603b5775a43a54ebaa2595541e6740d97c",
     "runstore_oracle.py": "0b48f65aa02c0fd2d35344d1665c5919e8d3df2161e343f9e96684ceabe2947e",

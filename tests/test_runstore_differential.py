@@ -191,6 +191,17 @@ def _write(path, text_or_bytes) -> None:
     path.write_bytes(data)
 
 
+# Records whose report hashes to the id but whose envelope load_run refuses.
+# The oracle's save keeps them; the engine's keeps a record only when it
+# would load, so it refuses these with load_run's reason.
+ENVELOPE = ("run_id", "timestamp", "manifest_digest", "config_digest")
+REFUSED_ON_SAVE = (
+    {"wrong config digest", "wrong manifest digest", "mismatched id"}
+    | {f"missing {key}" for key in ENVELOPE}
+    | {f"{key} as {kind}" for key in ENVELOPE for kind in ("list", "object", "int", "null")}
+)
+
+
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_existing_record_matches_the_oracle(tmp_path, name):
     """Saving onto a record already under the id, then loading it by full id and by prefix."""
@@ -208,7 +219,18 @@ def test_existing_record_matches_the_oracle(tmp_path, name):
             _outcome(side.load_run, FIXTURE_ID, store),
         )
 
-    _assert_same(tmp_path / "t", build, act)
+    expected, actual = _both(tmp_path / "t", build, act)
+    if name in REFUSED_ON_SAVE:
+        (kind, (load, prefix, saved, reload)), files = expected
+        assert saved == ("ok", FIXTURE_ID) and load[0] == "StoreError"
+        reason = load[1].removeprefix(f"run {FIXTURE_ID}: ")
+        refusal = ("StoreError", f"run {FIXTURE_ID}: stored content does not match its id: {reason}")
+        expected = (kind, (load, prefix, refusal, reload)), files
+    assert actual == expected
+
+
+def test_records_refused_on_save_are_hostile_records():
+    assert len(REFUSED_ON_SAVE) == 23 and REFUSED_ON_SAVE <= set(HOSTILE)
 
 
 def _named_by_own_hash(text: str) -> tuple[str, str]:

@@ -154,9 +154,19 @@ class TestLeafMetrics:
     def test_methodology_goes_below_zero_past_unit_share_deviation(self):
         assert statistical_methodology(10, 10, 7.0) == -2.5
 
-    def test_methodology_rejects_unbalanced_weights(self):
-        with pytest.raises(ComputationError, match="sum to 1"):
-            statistical_methodology(10, 20, 0.1, saturation_weight=0.7, representativeness_weight=0.6)
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.nan, 10, 0.1), "sample_size"),
+            ((10, math.nan, 0.1), "saturation_threshold"),
+            ((10, 10, math.nan), "share_deviation"),
+            ((10, 10, math.inf), "share_deviation"),
+        ],
+        ids=["nan sample_size", "nan saturation_threshold", "nan share_deviation", "infinite share_deviation"],
+    )
+    def test_methodology_refuses_a_non_finite_argument(self, args, name):
+        with pytest.raises(ComputationError, match=f"{name} must be finite"):
+            statistical_methodology(*args)
 
     def test_ground_truth_equal_blend(self):
         stats = AnnotationStats(1.0, 5.0, 5.0, 1.43, 1.24)
@@ -177,6 +187,12 @@ class TestLeafMetrics:
     def test_agility_clamps_both_ends(self):
         assert agility(AgilityStats(5.0, 0.0)) == 1.0
         assert agility(AgilityStats(-0.5, 0.2)) == 0.0
+
+    @pytest.mark.parametrize("field", ["accuracy_gain", "change_proportion", "epsilon"])
+    def test_agility_refuses_a_nan_field(self, field):
+        stats = dataclasses.replace(AgilityStats(0.032, 0.1), **{field: math.nan})
+        with pytest.raises(ComputationError, match=f"agility.{field} must be finite"):
+            agility(stats)
 
     def test_security_safety_share(self):
         assert security_safety(SafetyAudit(10, 100)) == pytest.approx(0.9, abs=1e-15)
@@ -205,6 +221,15 @@ class TestLeafMetrics:
     def test_iterative_feedback_refuses_a_step_beyond_float_range(self):
         with pytest.raises(ComputationError, match=r"accuracy_series\[0:2\]"):
             iterative_feedback([0.0, 10**400])
+
+    def test_iterative_feedback_refuses_a_nan_point(self):
+        with pytest.raises(ComputationError, match=r"accuracy_series\[1\] must be finite"):
+            iterative_feedback([0.0, math.nan])
+
+    @pytest.mark.parametrize("series, steps", [([-1e308, 1e308], "0:2"), ([-1e308, 0.0, 1e308], "1:3")])
+    def test_iterative_feedback_refuses_steps_that_overflow_a_float(self, series, steps):
+        with pytest.raises(ComputationError, match=rf"accuracy_series\[{steps}\]: step is beyond float range"):
+            iterative_feedback(series)
 
     def test_iterative_feedback_needs_two_points(self):
         assert iterative_feedback(()) is None
