@@ -4,15 +4,19 @@ Subcommands cover the full workflow: score a manifest, explain a stored
 run, validate a manifest, plot saturation curves, select representative
 samples, and diff two rating records.  Exit codes: 0 on success, 2 for
 schema or invariant problems in the inputs, 3 when a computation or
-store lookup cannot proceed.
+store lookup cannot proceed, or when writing the output fails.  A reader
+that closes the pipe early ends the output quietly, with the command's
+own exit code.
 
-Each handler imports the modules it runs, so one call loads only those.
+Each handler imports the modules it runs, so one call loads only those,
+and returns its exit code and its output, which :func:`main` writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -43,7 +47,7 @@ def _load_weights(argument: str) -> WeightConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> tuple[int, str]:
     from .io import parse_manifest, report_to_json
     from .runstore import save_run, store_path_from_env
     from .scoring import score_dataset
@@ -59,10 +63,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SchemaError(f"cannot write output file {args.out!r}: {exc}") from None
     run_id = save_run(report, store_path_from_env())
-    if not args.out:
-        sys.stdout.write(document)
     print(f"run saved: {run_id}", file=sys.stderr)
-    return 0
+    return 0, "" if args.out else document
 
 
 def format_explanation(report: StrideReport) -> str:
@@ -94,29 +96,23 @@ def format_explanation(report: StrideReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
+def _cmd_explain(args: argparse.Namespace) -> tuple[int, str]:
     from .runstore import load_run, store_path_from_env
 
     record = load_run(args.run, store_path_from_env())
-    sys.stdout.write(f"run: {record.run_id}\n")
-    sys.stdout.write(f"saved: {record.timestamp}\n")
-    sys.stdout.write(format_explanation(record.report))
-    return 0
+    return 0, f"run: {record.run_id}\nsaved: {record.timestamp}\n{format_explanation(record.report)}"
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     from .io import manifest_violations
 
     manifest, violations = manifest_violations(_read_text(args.manifest, "manifest"))
     if not violations:
-        print(f"{manifest.dataset_id or args.manifest}: ok")
-        return 0
-    for violation in violations:
-        print(str(violation))
-    return 2
+        return 0, f"{manifest.dataset_id or args.manifest}: ok\n"
+    return 2, "".join(f"{violation}\n" for violation in violations)
 
 
-def _cmd_sample_curve(args: argparse.Namespace) -> int:
+def _cmd_sample_curve(args: argparse.Namespace) -> tuple[int, str]:
     from .io import parse_population
     from .sampling import saturation_curve
 
@@ -126,13 +122,10 @@ def _cmd_sample_curve(args: argparse.Namespace) -> int:
     except ValueError:
         raise SchemaError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
     points = saturation_curve(population, args.criterion, sizes, args.seed, bins=args.bins)
-    sys.stdout.write("sample_size,divergence\n")
-    for point in points:
-        sys.stdout.write(f"{point.sample_size},{point.divergence!r}\n")
-    return 0
+    return 0, "sample_size,divergence\n" + "".join(f"{point.sample_size},{point.divergence!r}\n" for point in points)
 
 
-def _cmd_sample_select(args: argparse.Namespace) -> int:
+def _cmd_sample_select(args: argparse.Namespace) -> tuple[int, str]:
     from .io import parse_population
     from .sampling import select_representative_sample
 
@@ -160,11 +153,10 @@ def _cmd_sample_select(args: argparse.Namespace) -> int:
         text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN or an infinity among the divergences
         raise ComputationError(f"selection has no JSON form: {exc}") from None
-    sys.stdout.write(text + "\n")
-    return 0
+    return 0, text + "\n"
 
 
-def _cmd_delta(args: argparse.Namespace) -> int:
+def _cmd_delta(args: argparse.Namespace) -> tuple[int, str]:
     from .delta import build_delta_report, emit_delta_report
     from .io import parse_annotations, parse_rating_record
 
@@ -174,8 +166,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
         parse_annotations(_read_text(args.annotations, "annotations")) if args.annotations else {}
     )
     report = build_delta_report(baseline, recomputed, annotations)
-    sys.stdout.write(emit_delta_report(report, format=args.format))
-    return 0
+    return 0, emit_delta_report(report, format=args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +229,43 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, output = args.handler(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ComputationError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if not output:
+        return code
+    if sys.stdout is None:  # the process was started with stdout closed
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 3
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped reading, as `head` does: nothing is wrong here.
+        _discard_stdout()
+    except OSError as exc:  # such as a full disk
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
+    return code
+
+
+def _discard_stdout() -> None:
+    """Send what stdout still buffers to the null device.
+
+    The interpreter flushes stdout once more at exit; that flush would
+    fail again and print a traceback.
+    """
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):  # no file descriptor behind stdout
+        pass
 
 
 if __name__ == "__main__":

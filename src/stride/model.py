@@ -375,8 +375,9 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
     reported as data rather than raised, so callers can surface all of
     them at once.  The rules are the ones declared on the fields of the
     manifest's dataclasses, checked in field order, section by section;
-    absent optional sections are skipped.  A NaN or an infinity in a
-    float field is reported as not finite in place of that field's rule.
+    absent optional sections are skipped.  A NaN, an infinity or an
+    integer beyond float range in a float field is reported as not finite
+    in place of that field's rule.
     """
     found: list[Violation] = []
     _check(manifest, "", found)
@@ -398,16 +399,16 @@ def _check(obj: object, prefix: str, found: list[Violation]) -> None:
         value = getattr(obj, name)
         if many:
             for index, item in enumerate(value):
-                if finite and not math.isfinite(item):
-                    found.append(Violation(f"{prefix}{name}[{index}]", f"must be a finite number, got {item!r}"))
-                elif not test(item):
-                    found.append(Violation(f"{prefix}{name}[{index}]", describe(item)))
+                message = _not_finite(item) if finite else None
+                if message is None and not test(item):
+                    message = describe(item)
+                if message is not None:
+                    found.append(Violation(f"{prefix}{name}[{index}]", message))
             continue
-        if finite and not math.isfinite(value):
-            message = f"must be a finite number, got {value!r}"
-        elif test(value):
-            continue
-        else:
+        message = _not_finite(value) if finite else None
+        if message is None:
+            if test(value):
+                continue
             message = describe(value)
         found.append(Violation(prefix + name, message))
         failed += (name,)
@@ -421,6 +422,16 @@ def _check(obj: object, prefix: str, found: list[Violation]) -> None:
     for name, bound in bounded:
         if name not in failed and bound not in failed and getattr(obj, name) > getattr(obj, bound):
             found.append(Violation(prefix + name, f"cannot exceed {bound}"))
+
+
+def _not_finite(value: float) -> str | None:
+    """Why a float field's ``value`` is not a finite number, or None when it is one."""
+    try:
+        if math.isfinite(value):
+            return None
+    except OverflowError:  # an integer too large for a float, too long to repeat
+        return "must be a finite number, got an integer beyond float range"
+    return f"must be a finite number, got {value!r}"
 
 
 _ANY = (lambda value: True, None)

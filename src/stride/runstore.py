@@ -28,14 +28,17 @@ missing record goes through :func:`resolve_run_id`.  Loading parses the
 record, not its bytes, so records written in the older indented form
 still load; it re-encodes the parsed report once, entry by entry, and
 checks the run id against the spliced text and the config digest
-against the ``config`` entry.
+against the ``config`` entry.  It then recomputes the component scores
+and the trust from the stored sub-scores and config, with the fold that
+scoring uses, and requires the stored ones to match bit for bit.
 
 Filesystem errors while saving raise :class:`StoreError`, and so does a
 report holding NaN or an infinity, before anything is written.  A record
 that cannot be read or decoded, including one holding NaN, an infinity
 or a number beyond float range, is a store fault too: loading it raises
 :class:`StoreError`, and so does a record whose envelope fields are not
-strings or whose manifest or config digest contradicts its report.
+strings, whose manifest or config digest contradicts its report, or
+whose component scores or trust contradict its sub-scores.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import errno
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -50,9 +54,10 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
-from .errors import SchemaError, StoreError
+from .errors import ComputationError, SchemaError, StoreError
 from .io import _finite_float, _refuse_constant, report_from_dict, report_to_dict
 from .model import StrideReport
+from .scoring import _components_and_trust
 
 DEFAULT_STORE_ENV = "STRIDE_STORE"
 DEFAULT_STORE_PATH = ".stride-runs"
@@ -262,6 +267,32 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
     return _verified_record(raw, full_id)
 
 
+def _check_arithmetic(report: StrideReport, full_id: str) -> None:
+    """Refuse a report whose component scores or trust are not, bit for bit, those its sub-scores give.
+
+    They are recomputed from the stored sub-scores and config by the fold
+    :func:`~stride.scoring.score_dataset` uses.  The run id is a content
+    hash, not a signature, so a record edited and renamed to its new hash
+    is caught here or not at all.
+    """
+    try:
+        components, trust = _components_and_trust(report.sub_scores, report.config_snapshot)
+    except ComputationError as exc:
+        raise StoreError(f"run {full_id}: stored report cannot be recomputed: {exc}") from None
+    for component, value in components.items():
+        if not _same_bits(report.component_scores[component], value):
+            raise StoreError(
+                f"run {full_id}: stored component_scores.{component.value} does not match its sub-scores"
+            )
+    if not _same_bits(report.trust, trust):
+        raise StoreError(f"run {full_id}: stored trust does not match its component scores")
+
+
+def _same_bits(stored: float, computed: float) -> bool:
+    """Equality that also tells 0.0 from -0.0; neither side is NaN."""
+    return stored == computed and math.copysign(1.0, stored) == math.copysign(1.0, computed)
+
+
 def _verified_record(raw: dict, full_id: str) -> RunRecord:
     """The run that a parsed record holds, once its report and envelope are checked against ``full_id``."""
     for key in ("run_id", "timestamp", "manifest_digest", "config_digest", "report"):
@@ -286,6 +317,7 @@ def _verified_record(raw: dict, full_id: str) -> RunRecord:
         raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
     if raw["config_digest"] != _text_digest(texts["config"]):
         raise StoreError(f"run {full_id}: record config_digest does not match its report")
+    _check_arithmetic(report, full_id)
     return RunRecord(
         run_id=raw["run_id"],
         timestamp=raw["timestamp"],

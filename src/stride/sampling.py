@@ -10,12 +10,16 @@ lives in [0, 1].
 Each call reads and bins a criterion's column once, then works on the
 records' category indices.  The saturation curve draws positions in
 that index list, so its draws are those of drawing the records.  It
-draws them itself, from the generator's 32-bit outputs read in large
-batches, and makes exactly the draws of ``random.Random(seed).sample``
-per size, so the algorithm is pinned here: a change to the stdlib's
-``sample`` cannot silently move a curve.  A last size equal to the
-population is not drawn: that sample is the population, so its point is
-``0.0``, and no later size reads the generator.
+draws them itself and makes exactly the draws of
+``random.Random(seed).sample`` per size, so the algorithm is pinned
+here: a change to the stdlib's ``sample`` cannot silently move a curve.
+The generator's 32-bit outputs come in batches, each cut from one big
+integer and shifted to the draw's bit width in bulk, so the Python loop
+per output is one comparison; a batch is never longer than the draws
+still missing, so no output is read that ``sample`` would not read.
+A last size equal to the population is not drawn: that sample is the
+population, so its point is ``0.0``, and no later size reads the
+generator.
 
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
@@ -28,13 +32,13 @@ import bisect
 import math
 import random
 import statistics
-import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import rshift
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ComputationError, SchemaError
 
@@ -43,9 +47,12 @@ DEFAULT_BINS = 10
 # Swap-search improvements smaller than this are treated as float noise.
 _IMPROVEMENT_EPS = 1e-12
 
-# Generator outputs read per getrandbits call by _word_stream.
+# Generator outputs read per getrandbits call by _word_stream, at the least.
 _CHUNK_WORDS = 1024
-_unpack_chunk = struct.Struct(f"<{_CHUNK_WORDS}I").unpack
+
+# _word_stream hands out each output as one array item.
+if array("I").itemsize != 4:
+    raise ImportError("stride.sampling needs array('I') items of 4 bytes")
 
 
 @dataclass(frozen=True)
@@ -350,22 +357,46 @@ def representativeness_sigma(shares: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _word_stream(rng: random.Random) -> Iterator[int]:
-    """``rng``'s 32-bit outputs in order, read ``_CHUNK_WORDS`` at a time.
+class _word_stream:
+    """``rng``'s 32-bit outputs in order, handed out in batches shifted right in bulk.
 
     ``rng.getrandbits(32 * N)`` is the next N outputs, the first in the
     lowest bits, and ``rng.getrandbits(b)`` for ``b <= 32`` is the top
-    ``b`` bits of the next one.  The stream reads up to one chunk ahead,
-    so ``rng`` must serve nothing else while it is in use.
+    ``b`` bits of the next one.  The unread outputs are kept as one int,
+    the next in its lowest bits, so a batch is cut and shifted with a few
+    big-integer operations, not output by output.  The stream reads at
+    most one chunk ahead, so ``rng`` must serve nothing else while it is
+    in use.  ``next()`` reads one unshifted output.
     """
 
-    def chunk(_: None) -> tuple[int, ...]:
-        return _unpack_chunk(rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little"))
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._block = 0  # the unread outputs
+        self._held = 0  # how many outputs _block holds
 
-    return chain.from_iterable(map(chunk, repeat(None)))
+    def take(self, count: int, shift: int) -> array:
+        """The next ``count`` outputs, each shifted right by ``shift`` bits (0 to 31)."""
+        missing = count - self._held
+        if missing > 0:
+            words = max(_CHUNK_WORDS, missing)
+            self._block |= self._rng.getrandbits(32 * words) << (32 * self._held)
+            self._held += words
+        block = self._block
+        self._block = block >> (32 * count)
+        self._held -= count
+        # Shifting the whole block moves each output's low bits into the top of
+        # the one before; the mask keeps the low 32 - shift bits of every output.
+        mask = int.from_bytes((0xFFFFFFFF >> shift).to_bytes(4, "little") * count, "little")
+        batch = array("I", ((block >> shift) & mask).to_bytes(4 * count, "little"))
+        if sys.byteorder == "big":
+            batch.byteswap()
+        return batch
+
+    def __next__(self) -> int:
+        return self.take(1, 0)[0]
 
 
-def _draw(words: Iterator[int], items: Sequence, k: int) -> tuple[bool, Iterable]:
+def _draw(words: _word_stream, items: Sequence, k: int) -> tuple[bool, Iterable]:
     """What ``random.sample(items, k)`` draws from the generator behind ``words``.
 
     Returns ``(True, the drawn items)`` or ``(False, the items not drawn)``,
@@ -387,22 +418,22 @@ def _draw(words: Iterator[int], items: Sequence, k: int) -> tuple[bool, Iterable
         selected: set[int] = set()
         shift = 32 - n.bit_length()
         while len(selected) < k:
-            selected.update(filter(n.__gt__, map(rshift, islice(words, k - len(selected)), repeat(shift))))
+            selected.update(filter(n.__gt__, words.take(k - len(selected), shift)))
         return True, map(items.__getitem__, selected)
     # Partial Fisher-Yates shuffle: the item drawn from pool[:m] is replaced
     # by pool[m - 1], so pool[:n - k] ends up holding the items not drawn.
-    # m steps down in runs of one bit length; each run uses one shift and
-    # ends when m reaches floor, the next bit length or the last draw.
+    # m steps down in runs of one bit length, each drawn with one shift,
+    # down to floor: the next bit length or the last draw.  A batch of
+    # m - floor outputs can accept no more than that many, so, as above,
+    # it never reads too far, and m never passes floor inside it.
     pool = list(items)
     m, last = n, n - k
     while m > last:
         floor = max(last, (1 << (m.bit_length() - 1)) - 1)
-        for r in map(rshift, words, repeat(32 - m.bit_length())):
+        for r in words.take(m - floor, 32 - m.bit_length()):
             if r < m:
                 m -= 1
                 pool[r] = pool[m]
-                if m == floor:
-                    break
     del pool[last:]
     return False, pool
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError
@@ -90,6 +90,19 @@ def _require_finite(name: str, value: float) -> None:
         raise ComputationError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_fields(section: str, stats: object) -> None:
+    """Refuse NaN, the infinities and integers beyond float range in the number fields of a manifest section."""
+    for name, value in vars(stats).items():
+        if not isinstance(value, (int, float)):
+            continue
+        try:
+            if math.isfinite(value):
+                continue
+        except OverflowError:  # an integer too large for a float
+            raise ComputationError(f"{section}.{name} is beyond float range") from None
+        raise ComputationError(f"{section}.{name} must be finite, got {value!r}")
+
+
 def inclusiveness_materiality(coverage: CoverageProfile) -> float:
     """Geometric mean of coverage ratios and the external-data factor."""
     if coverage.countries_total <= 0:
@@ -98,6 +111,7 @@ def inclusiveness_materiality(coverage: CoverageProfile) -> float:
         raise ComputationError("coverage.industries_total must be positive")
     if coverage.standard_layers_total <= 0:
         raise ComputationError("coverage.standard_layers_total must be positive")
+    _require_finite_fields("coverage", coverage)
     geographic = coverage.countries_covered / coverage.countries_total
     industry = coverage.industries_covered / coverage.industries_total
     layers = len(coverage.standard_layers_covered) / coverage.standard_layers_total
@@ -110,7 +124,8 @@ def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
     if not evidence:
         return None
     total = 0.0
-    for item in evidence:
+    for index, item in enumerate(evidence):
+        _require_finite_fields(f"evidence[{index}]", item)
         total += (item.auditability + item.traceability) / 2.0
     return total / len(evidence)
 
@@ -130,6 +145,7 @@ def time_relevance(temporal: TemporalProfile) -> float:
         raise ComputationError("temporal.lag_years must be non-negative")
     if temporal.decay_rate <= 0:
         raise ComputationError("temporal.decay_rate must be positive")
+    _require_finite_fields("temporal", temporal)
     return math.exp(-temporal.decay_rate * temporal.lag_years)
 
 
@@ -163,6 +179,7 @@ def ground_truth(stats: AnnotationStats) -> float:
     """
     if stats.tenure_cap_years <= 0:
         raise ComputationError("annotation.tenure_cap_years must be positive")
+    _require_finite_fields("annotation", stats)
     tenure = min(1.0, stats.mean_tenure_years / stats.tenure_cap_years)
     human, tenured, human_machine, machine_machine = GROUND_TRUTH_WEIGHTS
     return (
@@ -177,8 +194,7 @@ def agility(stats: AgilityStats) -> float:
     """Accuracy gain per unit of change, clamped into [0, 1]."""
     if stats.epsilon <= 0:
         raise ComputationError("agility.epsilon must be positive")
-    for field in ("accuracy_gain", "change_proportion", "epsilon"):
-        _require_finite(f"agility.{field}", getattr(stats, field))
+    _require_finite_fields("agility", stats)
     ratio = stats.accuracy_gain / (stats.change_proportion + stats.epsilon)
     return min(1.0, max(0.0, ratio))
 
@@ -187,6 +203,7 @@ def security_safety(audit: SafetyAudit) -> float:
     """Share of audited rows free of harmful content."""
     if audit.total_rows <= 0:
         raise ComputationError("safety.total_rows must be positive")
+    _require_finite_fields("safety", audit)
     return 1.0 - audit.harmful_rows / audit.total_rows
 
 
@@ -266,6 +283,41 @@ class ComponentBreakdown:
     total: float
 
 
+def _fold(
+    component_id: ComponentId, by_id: Mapping[MetricId, SubScore], weights: Mapping[MetricId, float]
+) -> tuple[list[tuple[MetricId, float, float, float]], float]:
+    """A component's terms, as ``(metric, weight, value, contribution)``, and their total.
+
+    The one copy of the component arithmetic: :func:`component_score`,
+    :func:`score_dataset` and the run store's check of a stored report
+    all fold through it, so they agree to the last bit.
+    """
+    applicable = [
+        by_id[metric]
+        for metric in COMPONENT_METRICS[component_id]
+        if metric in by_id and by_id[metric].applicable
+    ]
+    if not applicable:
+        raise ComputationError(f"component {component_id.value}: no applicable sub-score")
+    raw_total = 0.0
+    for sub in applicable:
+        raw_total += weights[sub.metric_id]
+    if raw_total == 0:
+        raise ComputationError(f"component {component_id.value}: applicable weights sum to zero")
+    rescale = abs(raw_total - 1.0) > 1e-12
+
+    terms = []
+    total = 0.0
+    for sub in applicable:
+        if sub.value is None:
+            raise ComputationError(f"{sub.metric_id.value}: applicable sub-score without a value")
+        weight = weights[sub.metric_id] / raw_total if rescale else weights[sub.metric_id]
+        contribution = weight * sub.value
+        terms.append((sub.metric_id, weight, sub.value, contribution))
+        total += contribution
+    return terms, total
+
+
 def component_score(
     component_id: ComponentId,
     sub_scores: Iterable[SubScore],
@@ -277,31 +329,24 @@ def component_score(
     sub-scores that are actually applicable, so listed term weights
     always sum to one.
     """
-    by_id = {sub.metric_id: sub for sub in sub_scores}
-    applicable = [
-        by_id[metric]
-        for metric in COMPONENT_METRICS[component_id]
-        if metric in by_id and by_id[metric].applicable
-    ]
-    if not applicable:
-        raise ComputationError(f"component {component_id.value}: no applicable sub-score")
-    raw_total = 0.0
-    for sub in applicable:
-        raw_total += config.weights[sub.metric_id]
-    if raw_total == 0:
-        raise ComputationError(f"component {component_id.value}: applicable weights sum to zero")
-    rescale = abs(raw_total - 1.0) > 1e-12
+    terms, total = _fold(component_id, {sub.metric_id: sub for sub in sub_scores}, config.weights)
+    return ComponentBreakdown(component_id, tuple(ComponentTerm(*term) for term in terms), total)
 
-    terms = []
-    for sub in applicable:
-        if sub.value is None:
-            raise ComputationError(f"{sub.metric_id.value}: applicable sub-score without a value")
-        weight = config.weights[sub.metric_id] / raw_total if rescale else config.weights[sub.metric_id]
-        terms.append(ComponentTerm(sub.metric_id, weight, sub.value, weight * sub.value))
-    total = 0.0
-    for term in terms:
-        total += term.contribution
-    return ComponentBreakdown(component_id, tuple(terms), total)
+
+def _components_and_trust(
+    sub_scores: Iterable[SubScore], config: WeightConfig
+) -> tuple[dict[ComponentId, float], float]:
+    """The four component scores and the trust value that ``sub_scores`` give under ``config``."""
+    by_id = {sub.metric_id: sub for sub in sub_scores}
+    components = {component: _fold(component, by_id, config.weights)[1] for component, _ in COMPONENT_CODES}
+    trust = trust_score(
+        components[ComponentId.CREDIBILITY],
+        components[ComponentId.RELIABILITY],
+        components[ComponentId.INTIMACY],
+        components[ComponentId.SELF_SERVING],
+        config.alpha,
+    )
+    return components, trust
 
 
 def trust_score(
@@ -383,18 +428,7 @@ def score_dataset(manifest: DatasetManifest, config: WeightConfig) -> StrideRepo
         value = None if section is None else formula(section)
         sub_scores.append(SubScore(metric, value, value is not None, digest))
 
-    breakdowns = {
-        component: component_score(component, sub_scores, normalised)
-        for component, _ in COMPONENT_CODES
-    }
-    components = {component: breakdown.total for component, breakdown in breakdowns.items()}
-    trust = trust_score(
-        components[ComponentId.CREDIBILITY],
-        components[ComponentId.RELIABILITY],
-        components[ComponentId.INTIMACY],
-        components[ComponentId.SELF_SERVING],
-        normalised.alpha,
-    )
+    components, trust = _components_and_trust(sub_scores, normalised)
 
     return StrideReport(
         sub_scores=tuple(sub_scores),

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from stride.cli import main
+from stride.digests import canonical_json, content_digest
 from stride.fixtures import fixture_text
 
 
@@ -260,6 +261,23 @@ class TestExplain:
         assert exit_code == 3
         assert captured.out == ""
         assert captured.err == f"error: run {run_id}: record config_digest does not match its report\n"
+
+    def test_record_with_edited_scores_under_its_new_hash_exits_3(self, store, manifest_file, capsys):
+        # Zero C and raise the trust, rehash the report and rename the record to the new id.
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["report"]["component_scores"]["C"] = 0.0
+        raw["report"]["trust"] = 0.9
+        new_id = raw["run_id"] = content_digest(raw["report"])
+        (store / f"{new_id}.json").write_text(canonical_json(raw) + "\n", encoding="utf-8")
+        path.unlink()
+        exit_code = main(["explain", "--run", new_id[:12]])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: run {new_id}: stored component_scores.C does not match its sub-scores\n"
 
 
 class TestValidate:

@@ -12,10 +12,12 @@ from manifest_factory import random_manifest
 from stride.errors import SchemaError
 from stride.model import (
     COMPONENT_METRICS,
+    AgilityStats,
     ComponentId,
     DatasetManifest,
     MetricId,
     SamplingInputs,
+    Violation,
     WeightConfig,
     equal_weight_config,
     validate_manifest,
@@ -259,6 +261,22 @@ class TestNonFiniteManifestValues:
         temporal = dataclasses.replace(self.MANIFEST.temporal, decay_rate=float("nan"))
         manifest = dataclasses.replace(self.MANIFEST, temporal=temporal)
         with pytest.raises(SchemaError, match="temporal.decay_rate: must be a finite number, got nan"):
+            score_dataset(manifest, equal_weight_config())
+
+    def test_each_integer_beyond_float_range_is_reported_by_its_path(self):
+        for trail in _float_trails(self.MANIFEST):
+            path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in trail).lstrip(".")
+            violations = validate_manifest(_replaced(self.MANIFEST, trail, 10**400))
+            assert [str(v) for v in violations] == [
+                f"{path}: must be a finite number, got an integer beyond float range"
+            ]
+
+    def test_agility_gain_beyond_float_range_is_a_violation(self, luxshare_manifest):
+        manifest = dataclasses.replace(luxshare_manifest, agility=AgilityStats(10**400, 0.5))
+        assert validate_manifest(manifest) == [
+            Violation("agility.accuracy_gain", "must be a finite number, got an integer beyond float range")
+        ]
+        with pytest.raises(SchemaError, match="^manifest validation failed: agility.accuracy_gain: must be a finite"):
             score_dataset(manifest, equal_weight_config())
 
     def test_finite_values_keep_their_messages(self, luxshare_manifest):

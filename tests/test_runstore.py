@@ -5,15 +5,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
+import re
 
 import pytest
 
 from manifest_factory import random_manifest, skewed_config
 from stride.digests import canonical_json, content_digest
-from stride.errors import StoreError
+from stride.errors import StoreError, StrideError
 from stride.io import report_to_dict
-from stride.model import equal_weight_config
+from stride.model import COMPONENT_METRICS, ComponentId, MetricId, WeightConfig, equal_weight_config
 from stride.runstore import (
     load_run,
     resolve_run_id,
@@ -21,7 +23,7 @@ from stride.runstore import (
     save_run,
     store_path_from_env,
 )
-from stride.scoring import score_dataset
+from stride.scoring import score_dataset, trust_score
 
 
 @pytest.fixture()
@@ -319,3 +321,133 @@ class TestNonFiniteRecords:
         (tmp_path / f"{run_id}.json").write_bytes(b'{"run_id": "\xff"}')
         with pytest.raises(StoreError, match="cannot read run record"):
             load_run(run_id, tmp_path)
+
+
+def _write_edited(store, report, edit, indent=None) -> str:
+    """Write a record of ``report`` edited in place by ``edit``, rehashed and named by its new run id."""
+    document = report_to_dict(report)
+    edit(document)
+    run_id = content_digest(document)
+    record = {
+        "config_digest": content_digest(document["config"]),
+        "manifest_digest": document["manifest_digest"],
+        "report": document,
+        "run_id": run_id,
+        "timestamp": "2026-01-01T00:00:00+00:00",
+    }
+    text = canonical_json(record) if indent is None else json.dumps(record, indent=indent, sort_keys=True)
+    store.mkdir(parents=True, exist_ok=True)
+    (store / f"{run_id}.json").write_text(text + "\n", encoding="utf-8")
+    return run_id
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(document):
+        for step in path:
+            document = document[step]
+        document[key] = value
+
+    return edit
+
+
+def _zero_self_serving(sign: float):
+    """The applicable self-serving sub-scores at 0.0, S stored as ``sign * 0.0``, and the trust that gives."""
+
+    def edit(document):
+        for sub in document["sub_scores"]:
+            if sub["metric_id"] in ("T", "RS") and sub["applicable"]:
+                sub["value"] = 0.0
+        scores = document["component_scores"]
+        scores["S"] = sign * 0.0
+        document["trust"] = trust_score(scores["C"], scores["R"], scores["I"], 0.0, (0.25, 0.25, 0.25, 0.25))
+
+    return edit
+
+
+def _no_credibility(document):
+    for sub in document["sub_scores"]:
+        if sub["metric_id"] in ("IM", "AT", "ER", "TR"):
+            sub["value"], sub["applicable"] = None, False
+
+
+class TestStoredArithmetic:
+    """A record edited and renamed to its new hash must still add up: components and trust are recomputed."""
+
+    @pytest.mark.parametrize(
+        ("edit", "reason"),
+        [
+            (
+                lambda d: (_set("component_scores", "C", 0.0)(d), _set("trust", 0.9)(d)),
+                "stored component_scores.C does not match its sub-scores",
+            ),
+            (_set("trust", 0.9), "stored trust does not match its component scores"),
+            (
+                lambda d: _set("component_scores", "R", math.nextafter(d["component_scores"]["R"], 2.0))(d),
+                "stored component_scores.R does not match its sub-scores",
+            ),
+            (
+                lambda d: _set("sub_scores", 0, "value", d["sub_scores"][0]["value"] + 0.1)(d),
+                "stored component_scores.C does not match its sub-scores",
+            ),
+            (_set("config", "credibility", "IM", 0.1), "stored component_scores.C does not match its sub-scores"),
+            (_set("config", "alpha", "S", 0.5), "stored trust does not match its component scores"),
+            (_zero_self_serving(-1.0), "stored component_scores.S does not match its sub-scores"),
+            (_no_credibility, "stored report cannot be recomputed: component C: no applicable sub-score"),
+        ],
+        ids=[
+            "C zeroed and trust raised",
+            "trust raised",
+            "R one ulp up",
+            "sub-score raised",
+            "weight lowered",
+            "alpha raised",
+            "S negative zero",
+            "no credibility sub-score",
+        ],
+    )
+    def test_edited_record_is_a_store_error(self, report, tmp_path, edit, reason):
+        run_id = _write_edited(tmp_path, report, edit)
+        with pytest.raises(StoreError, match=f"^run {run_id}: {re.escape(reason)}$"):
+            load_run(run_id, tmp_path)
+
+    def test_record_that_still_adds_up_loads(self, report, tmp_path):
+        run_id = _write_edited(tmp_path, report, _zero_self_serving(1.0))
+        loaded = load_run(run_id, tmp_path).report
+        assert loaded.component_scores[ComponentId.SELF_SERVING] == 0.0 and loaded.trust > report.trust
+
+    def test_save_refuses_to_keep_an_edited_record(self, report, tmp_path):
+        run_id = _write_edited(tmp_path, report, _set("trust", 0.9), indent=2)
+        tampered = dataclasses.replace(report, trust=0.9)
+        assert run_id_for(tampered) == run_id
+        reason = "stored trust does not match its component scores"
+        with pytest.raises(StoreError, match=f"^run {run_id}: stored content does not match its id: {reason}$"):
+            save_run(tampered, tmp_path)
+
+    def test_every_scored_report_passes_the_check(self, tmp_path):
+        """Bit-exact recomputation on seeded manifests under seeded weight configurations."""
+        loaded = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            manifest = random_manifest(rng)
+            config = _random_config(rng)
+            try:
+                report = score_dataset(manifest, config)
+            except StrideError:
+                continue
+            assert load_run(save_run(report, tmp_path), tmp_path).report == report
+            loaded += 1
+        assert loaded > 250
+
+
+def _random_config(rng: random.Random) -> WeightConfig:
+    """Uneven weights of several magnitudes, uneven alpha, and some metrics inapplicable."""
+    while True:
+        applicability = {metric: rng.random() < 0.8 for metric in MetricId}
+        if all(any(applicability[m] for m in members) for members in COMPONENT_METRICS.values()):
+            break
+    weights = {
+        metric: rng.choice((rng.random() * 10, float(rng.randint(0, 5)), rng.random() * 1e-3)) for metric in MetricId
+    }
+    return WeightConfig(tuple(rng.random() * 3 for _ in range(4)), weights, applicability)

@@ -6,12 +6,17 @@ None of that may change what the store does: for every input below, the
 engine and the oracle must return equal values (or raise the same
 exception type with the same message), and leave the same bytes on disk.
 Each side runs on the same paths, rebuilt from scratch, with a fixed clock.
+The intended divergences are listed where they are tested: records that
+save refuses to keep (``REFUSED_ON_SAVE``), and records whose component
+scores or trust do not follow from their sub-scores, which the engine
+refuses to load (``REFUSED_AS_INCONSISTENT``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import shutil
@@ -231,6 +236,73 @@ def test_existing_record_matches_the_oracle(tmp_path, name):
 
 def test_records_refused_on_save_are_hostile_records():
     assert len(REFUSED_ON_SAVE) == 23 and REFUSED_ON_SAVE <= set(HOSTILE)
+
+
+def _rehashed(edit) -> tuple[str, str]:
+    """The fixture report edited in place by ``edit``, as a saved record named by its new hash."""
+    document = report_to_dict(FIXTURE)
+    edit(document)
+    run_id = content_digest(document)
+    record = {
+        "config_digest": content_digest(document["config"]),
+        "manifest_digest": document["manifest_digest"],
+        "report": document,
+        "run_id": run_id,
+        "timestamp": _Clock.now(timezone.utc).isoformat(),
+    }
+    return run_id, canonical_json(record) + "\n"
+
+
+def _edit(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(document):
+        for step in path:
+            document = document[step]
+        document[key] = value if not callable(value) else value(document[key])
+
+    return edit
+
+
+# The hostile records whose outcome differs from the oracle's.  Each is
+# edited and renamed to its new hash, so its id and envelope verify and
+# the oracle serves it.  The engine recomputes the component scores and
+# the trust from the stored sub-scores and config, and refuses each.
+# Every record of _hostile_records() keeps the oracle's outcome.
+REFUSED_AS_INCONSISTENT = {
+    "C zeroed and trust raised": (
+        lambda d: (_edit("component_scores", "C", 0.0)(d), _edit("trust", 0.9)(d)),
+        "stored component_scores.C does not match its sub-scores",
+    ),
+    "trust raised": (_edit("trust", 0.9), "stored trust does not match its component scores"),
+    "I one ulp down": (
+        _edit("component_scores", "I", lambda value: math.nextafter(value, 0.0)),
+        "stored component_scores.I does not match its sub-scores",
+    ),
+    "sub-score raised": (
+        _edit("sub_scores", 2, "value", lambda value: value / 2),
+        "stored component_scores.C does not match its sub-scores",
+    ),
+    "alpha raised": (_edit("config", "alpha", "R", 0.5), "stored trust does not match its component scores"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_AS_INCONSISTENT))
+def test_record_that_does_not_add_up_is_refused_where_the_oracle_serves_it(tmp_path, name):
+    edit, reason = REFUSED_AS_INCONSISTENT[name]
+    run_id, text = _rehashed(edit)
+
+    def build(root):
+        _write(root / f"{run_id}.json", text)
+
+    def act(side, root):
+        return _outcome(side.load_run, run_id, root), _outcome(side.load_run, run_id[:9], root)
+
+    (expected, expected_files), (actual, actual_files) = _both(tmp_path / "t", build, act)
+    assert expected[0] == "ok" and expected[1][0][0] == "ok" == expected[1][1][0]
+    refusal = ("StoreError", f"run {run_id}: {reason}")
+    assert actual == ("ok", (refusal, refusal))
+    assert actual_files == expected_files
 
 
 def _named_by_own_hash(text: str) -> tuple[str, str]:

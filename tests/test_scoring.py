@@ -194,6 +194,12 @@ class TestLeafMetrics:
         with pytest.raises(ComputationError, match=f"agility.{field} must be finite"):
             agility(stats)
 
+    @pytest.mark.parametrize("field", ["accuracy_gain", "change_proportion", "epsilon"])
+    def test_agility_refuses_a_field_beyond_float_range(self, field):
+        stats = dataclasses.replace(AgilityStats(0.032, 0.1), **{field: 10**400})
+        with pytest.raises(ComputationError, match=f"^agility.{field} is beyond float range$"):
+            agility(stats)
+
     def test_security_safety_share(self):
         assert security_safety(SafetyAudit(10, 100)) == pytest.approx(0.9, abs=1e-15)
         assert security_safety(SafetyAudit(0, 527)) == 1.0
@@ -398,3 +404,65 @@ class TestSumsDoNotDependOnThePythonVersion:
         report = score_dataset(random_manifest(random.Random(0)), equal_weight_config())
         assert repr(report.component_scores[ComponentId.CREDIBILITY]) == "0.4100955556456385"
         assert run_id_for(report) == "b3e8a78f0260eaf353b945c9d69d95838783bdc24908411d5e6b9c37b451cc59"
+
+
+class TestSectionMetricsRefuseNaN:
+    """Each section metric refuses a NaN field, naming it, as agility does; none returns NaN."""
+
+    def test_time_relevance(self):
+        with pytest.raises(ComputationError, match=r"^temporal.lag_years must be finite, got nan$"):
+            time_relevance(TemporalProfile(math.nan, 0.3))
+
+    def test_security_safety(self):
+        with pytest.raises(ComputationError, match=r"^safety.harmful_rows must be finite, got nan$"):
+            security_safety(SafetyAudit(math.nan, 10))
+
+    def test_ground_truth(self):
+        with pytest.raises(ComputationError, match=r"^annotation.human_fraction must be finite, got nan$"):
+            ground_truth(AnnotationStats(math.nan, 1.0, 5.0, 0.1, 0.1))
+
+    def test_auditability_traceability(self):
+        evidence = [EvidenceItem("e1", "doc://a", 0.5, 0.5), EvidenceItem("e2", "doc://b", 0.5, math.nan)]
+        with pytest.raises(ComputationError, match=r"^evidence\[1\].traceability must be finite, got nan$"):
+            auditability_traceability(evidence)
+
+    def test_inclusiveness_materiality(self):
+        coverage = CoverageProfile(math.nan, 10, 3, 5, frozenset(), 4, 0)
+        with pytest.raises(ComputationError, match=r"^coverage.countries_covered must be finite, got nan$"):
+            inclusiveness_materiality(coverage)
+
+    @pytest.mark.parametrize(
+        ("call", "field"),
+        [
+            (lambda: time_relevance(TemporalProfile(1.0, math.inf)), "temporal.decay_rate"),
+            (lambda: security_safety(SafetyAudit(-math.inf, 10)), "safety.harmful_rows"),
+            (
+                lambda: ground_truth(AnnotationStats(0.5, 1.0, 5.0, 0.1, math.inf)),
+                "annotation.machine_machine_deviation",
+            ),
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(3, 10, 3, 5, frozenset(), 4, math.inf)),
+                "coverage.external_data_flag",
+            ),
+        ],
+        ids=["time_relevance", "security_safety", "ground_truth", "inclusiveness_materiality"],
+    )
+    def test_an_infinite_field_is_refused_too(self, call, field):
+        with pytest.raises(ComputationError, match=f"^{field} must be finite, got -?inf$"):
+            call()
+
+    @pytest.mark.parametrize(
+        ("call", "field"),
+        [
+            (lambda: time_relevance(TemporalProfile(10**400, 0.3)), "temporal.lag_years"),
+            (lambda: ground_truth(AnnotationStats(0.5, 10**400, 5.0, 0.1, 0.1)), "annotation.mean_tenure_years"),
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(3, 10, 3, 5, frozenset(), 4, 10**400)),
+                "coverage.external_data_flag",
+            ),
+        ],
+        ids=["time_relevance", "ground_truth", "inclusiveness_materiality"],
+    )
+    def test_an_integer_beyond_float_range_is_refused(self, call, field):
+        with pytest.raises(ComputationError, match=f"^{field} is beyond float range$"):
+            call()
