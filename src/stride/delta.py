@@ -16,9 +16,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import ComputationError, SchemaError
+from .errors import ComputationError, SchemaError, _is_finite
 from .model import SPEC_VERSION
 
 
@@ -50,6 +50,8 @@ ZERO_INTERVAL = Interval(0.0, 0.0)
 
 
 def validate_interval(interval: Interval, path: str = "interval") -> Interval:
+    if not (_is_finite(interval.lower) and _is_finite(interval.upper)):
+        raise SchemaError(f"{path}: bounds must be finite numbers within float range")
     if interval.lower > interval.upper:
         raise SchemaError(f"{path}: lower bound {interval.lower!r} exceeds upper bound {interval.upper!r}")
     return interval
@@ -130,6 +132,9 @@ class DeltaReport:
 def _validate_record(record: RatingRecord, label: str) -> None:
     for key, issue in record.issue_scores.items():
         path = f"{label}.issue_scores[{key!r}]"
+        for name in ("score", "scale_min", "scale_max"):
+            if not _is_finite(getattr(issue, name)):
+                raise SchemaError(f"{path}.{name}: expected a finite number within float range")
         if issue.scale_min >= issue.scale_max:
             raise SchemaError(f"{path}: scale_min must be below scale_max")
         if not issue.scale_min <= issue.score <= issue.scale_max:
@@ -141,7 +146,9 @@ def _validate_record(record: RatingRecord, label: str) -> None:
 def diff_ratings(baseline: RatingRecord, stride: RatingRecord) -> tuple[RatingDiff, ...]:
     """One diff per issue key present in either record, ordered by key.
 
-    Raises :class:`ComputationError` when a delta overflows float range.
+    Raises :class:`SchemaError` for a score or scale bound that is not a
+    finite number within float range, and :class:`ComputationError` when
+    a delta overflows float range.
     """
     _validate_record(baseline, "baseline")
     _validate_record(stride, "stride")
@@ -155,7 +162,7 @@ def diff_ratings(baseline: RatingRecord, stride: RatingRecord) -> tuple[RatingDi
             and (base.scale_min != ours.scale_min or base.scale_max != ours.scale_max)
         )
         delta = ours.score - base.score if base is not None and ours is not None else None
-        if delta is not None and not math.isfinite(delta):
+        if delta is not None and not _is_finite(delta):  # an int difference may be past float range too
             raise ComputationError(
                 f"issue {key!r}: recomputed {ours.score!r} minus baseline {base.score!r} is beyond float range"
             )
@@ -219,10 +226,13 @@ def attach_classification(
 def net_adjustment(items: Sequence[DiscrepancyItem]) -> Interval:
     """Endpoint-wise sum of item adjustments; [0, 0] for no items.
 
-    Raises :class:`ComputationError` when the sum overflows float range.
+    Raises :class:`ComputationError` when a bound or the sum is not a
+    finite number within float range.
     """
     total = ZERO_INTERVAL
     for item in items:
+        if not (_is_finite(item.adjustment.lower) and _is_finite(item.adjustment.upper)):
+            raise ComputationError("net adjustment is beyond float range")
         total = total + item.adjustment
     if not (math.isfinite(total.lower) and math.isfinite(total.upper)):
         raise ComputationError("net adjustment is beyond float range")
@@ -279,13 +289,32 @@ def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
     fields under their own names, with sorted keys; an interval is an
     object of ``lower`` and ``upper``.  Output is a pure function of the
     report: same report, same bytes.
+
+    Raises :class:`ComputationError` for a report holding NaN, an
+    infinity or an integer beyond float range, which neither format shows.
     """
+    for path, number in _report_numbers(report):
+        if number is not None and not _is_finite(number):
+            raise ComputationError(f"delta report has no finite {path}")
     if format == "json":
         document = {"spec_version": SPEC_VERSION, **asdict(report)}
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if format == "markdown":
         return _markdown_report(report)
     raise SchemaError(f"unknown report format {format!r}")
+
+
+def _report_numbers(report: DeltaReport) -> Iterator[tuple[str, float | None]]:
+    """Each number a report holds, with its path in the JSON document."""
+    for index, item in enumerate(report.items):
+        yield f"items[{index}].baseline_score", item.baseline_score
+        for name in ("stride_assessment", "adjustment"):
+            interval = getattr(item, name)
+            if interval is not None:
+                yield f"items[{index}].{name}.lower", interval.lower
+                yield f"items[{index}].{name}.upper", interval.upper
+    yield "net_adjustment.lower", report.net_adjustment.lower
+    yield "net_adjustment.upper", report.net_adjustment.upper
 
 
 def _markdown_report(report: DeltaReport) -> str:

@@ -3,9 +3,17 @@
 Two failure families matter to callers: malformed or contract-violating
 input documents, and computations that cannot proceed on otherwise
 well-formed data.  The CLI maps them to distinct exit codes.
+
+:func:`_is_finite` is the package's one rule for "is this number finite
+and within float range?": every check on a number that may be an int
+calls it, since ``math.isfinite`` raises ``OverflowError`` for an int
+too large for a float.  This module imports no other ``stride`` module,
+so every one of them can import it.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class StrideError(Exception):
@@ -22,3 +30,10 @@ class ComputationError(StrideError):
 
 class StoreError(StrideError):
     """Run store lookup or integrity failure."""
+
+
+def _is_finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer too large for a float
+        return False

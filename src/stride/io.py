@@ -47,7 +47,7 @@ from datetime import date
 from functools import cache
 from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
-from .errors import SchemaError
+from .errors import SchemaError, _is_finite
 from .model import (
     COMPONENT_CODES,
     COMPONENT_METRICS,
@@ -132,14 +132,10 @@ def _as_str(value: object, path: str) -> str:
     return value
 
 
-# Integers of this magnitude or more round past the largest float.
-_FLOAT_INT_LIMIT = 2**1024 - 2**970
-
-
 def _as_int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
-    if not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+    if not _is_finite(value):
         raise SchemaError(f"{path}: expected a finite number within float range")
     return value
 
@@ -147,10 +143,9 @@ def _as_int(value: object, path: str) -> int:
 def _as_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    number = float(_as_int(value, path) if isinstance(value, int) else value)
-    if not math.isfinite(number):
+    if not _is_finite(value):
         raise SchemaError(f"{path}: expected a finite number within float range")
-    return number
+    return float(value)
 
 
 def _as_bool(value: object, path: str) -> bool:
@@ -628,7 +623,7 @@ def _population_records(entries: Iterable[object]) -> list[PopulationRecord]:
             if kind is str or kind is bool:
                 continue
             if kind is int or kind is float:
-                if not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+                if not _is_finite(value):
                     raise _non_finite_cell(f"population[{index}]", key)
             elif kind is list:
                 for position, item in enumerate(value):

@@ -17,13 +17,12 @@ field's admissible range is declared in that field's metadata, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
-from .errors import SchemaError
+from .errors import SchemaError, _is_finite
 
 # Version stamp carried by every emitted JSON report.
 SPEC_VERSION = "1.0"
@@ -325,15 +324,15 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
         if metric not in config.applicability:
             raise SchemaError(f"applicability: missing entry for {code}")
         weight = config.weights[metric]
-        if not math.isfinite(weight):
-            raise SchemaError(f"weights.{code}: must be a finite number, got {weight!r}")
+        if not _is_finite(weight):
+            raise SchemaError(f"weights.{code}: {_not_finite(weight)}")
         if weight < 0:
             raise SchemaError(f"weights.{code}: negative weight {weight!r}")
     if len(config.alpha) != 4:
         raise SchemaError("alpha: expected exactly four coefficients")
     for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha):
-        if not math.isfinite(coefficient):
-            raise SchemaError(f"alpha.{code}: must be a finite number, got {coefficient!r}")
+        if not _is_finite(coefficient):
+            raise SchemaError(f"alpha.{code}: {_not_finite(coefficient)}")
         if coefficient < 0:
             raise SchemaError(f"alpha.{code}: negative coefficient {coefficient!r}")
 
@@ -426,10 +425,9 @@ def _check(obj: object, prefix: str, found: list[Violation]) -> None:
 
 def _not_finite(value: float) -> str | None:
     """Why a float field's ``value`` is not a finite number, or None when it is one."""
-    try:
-        if math.isfinite(value):
-            return None
-    except OverflowError:  # an integer too large for a float, too long to repeat
+    if _is_finite(value):
+        return None
+    if isinstance(value, int):  # too long to repeat
         return "must be a finite number, got an integer beyond float range"
     return f"must be a finite number, got {value!r}"
 

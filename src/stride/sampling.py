@@ -23,7 +23,10 @@ generator.
 
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
-return the same result.
+return the same result.  That is why a seed must be an int:
+``random.Random`` hashes a float seed, and a NaN hashes by identity.
+``bins`` must be an int of at most ``_MAX_BINS``, checked before any
+quantile is taken, since the quantiles take one step per bin.
 """
 
 from __future__ import annotations
@@ -40,9 +43,13 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ComputationError, SchemaError
+from .errors import ComputationError, SchemaError, _is_finite
 
 DEFAULT_BINS = 10
+
+# The most bins a call may ask for.  The quantiles take one
+# step per bin, and the curve and the swap search keep lists as long.
+_MAX_BINS = 1000
 
 # Swap-search improvements smaller than this are treated as float noise.
 _IMPROVEMENT_EPS = 1e-12
@@ -137,6 +144,10 @@ def _bin_column(records: Sequence[PopulationRecord], criterion: str, bins: int) 
     An index is an int for categorical and numeric criteria and a tuple,
     one index per mention, for multilabel ones.
     """
+    if not _is_int(bins):
+        raise SchemaError(f"bins must be an integer, got {bins!r}")
+    if bins > _MAX_BINS:
+        raise SchemaError(f"bins must be at most {_MAX_BINS}")
     if not records:
         raise SchemaError("population is empty")
     values = _column(records, criterion)
@@ -204,13 +215,6 @@ def _check_sample(values: Sequence[object], criterion: str, binning: _Binning) -
             raise SchemaError(f"criterion {criterion!r}: sample value {value!r} is not {binning.kind}")
         if binning.kind == "numeric" and not _is_finite(value):
             raise SchemaError(f"criterion {criterion!r}: sample value {value!r} is not finite")
-
-
-def _is_finite(number: float) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _is_int(value: object) -> bool:
@@ -347,8 +351,13 @@ def representativeness_sigma(shares: Sequence[float]) -> float:
         total += share
     mean = total / len(shares)
     squares = 0.0
-    for share in shares:
-        squares += (share - mean) ** 2
+    try:
+        for share in shares:
+            squares += (share - mean) ** 2
+    except OverflowError:  # a float squared past float range
+        squares = math.inf
+    if not _is_finite(squares):  # or the mean, or the sum of squares, overflowed
+        raise ComputationError("shares spread beyond float range")
     return math.sqrt(squares / len(shares))
 
 
@@ -459,6 +468,8 @@ def saturation_curve(
     else is drawn, so that the sizes after it draw what they would have.
     Every size is checked, in order, before its point is made.
     """
+    if not _is_int(seed):
+        raise SchemaError(f"seed must be an integer, got {seed!r}")
     binning, indices = _bin_column(population, criterion, bins)
     population_counts = _counts(indices, binning)
     population_total = _total(population_counts, criterion)
@@ -542,6 +553,8 @@ def select_representative_sample(
         raise SchemaError("at least one criterion is required")
     if not _is_int(k):
         raise SchemaError(f"k must be an integer, got {k!r}")
+    if not _is_int(seed):
+        raise SchemaError(f"seed must be an integer, got {seed!r}")
     if not 0 < k <= n:
         raise ComputationError(f"k must be in [1, {n}], got {k}")
     if max_swaps is not None:

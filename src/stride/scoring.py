@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
-from .errors import ComputationError, SchemaError
+from .errors import ComputationError, SchemaError, _is_finite
 from .io import manifest_to_dict
 from .model import (
     COMPONENT_CODES,
@@ -85,22 +85,18 @@ def sigmoid(z: float) -> float:
 
 
 def _require_finite(name: str, value: float) -> None:
-    """Refuse NaN and the infinities; an integer beyond float range is left to the arithmetic."""
-    if value != value or value == math.inf or value == -math.inf:
+    """Refuse NaN, the infinities and integers beyond float range."""
+    if not _is_finite(value):
+        if isinstance(value, int):  # too long to repeat
+            raise ComputationError(f"{name} is beyond float range")
         raise ComputationError(f"{name} must be finite, got {value!r}")
 
 
 def _require_finite_fields(section: str, stats: object) -> None:
-    """Refuse NaN, the infinities and integers beyond float range in the number fields of a manifest section."""
+    """:func:`_require_finite` on each number field of a manifest section."""
     for name, value in vars(stats).items():
-        if not isinstance(value, (int, float)):
-            continue
-        try:
-            if math.isfinite(value):
-                continue
-        except OverflowError:  # an integer too large for a float
-            raise ComputationError(f"{section}.{name} is beyond float range") from None
-        raise ComputationError(f"{section}.{name} must be finite, got {value!r}")
+        if isinstance(value, (int, float)) and not _is_finite(value):
+            _require_finite(f"{section}.{name}", value)
 
 
 def inclusiveness_materiality(coverage: CoverageProfile) -> float:
@@ -111,12 +107,21 @@ def inclusiveness_materiality(coverage: CoverageProfile) -> float:
         raise ComputationError("coverage.industries_total must be positive")
     if coverage.standard_layers_total <= 0:
         raise ComputationError("coverage.standard_layers_total must be positive")
+    if coverage.countries_covered < 0:  # a negative product has a complex fourth root
+        raise ComputationError("coverage.countries_covered must be non-negative")
+    if coverage.industries_covered < 0:
+        raise ComputationError("coverage.industries_covered must be non-negative")
     _require_finite_fields("coverage", coverage)
+    if coverage.external_data_flag not in (0, 1):  # exp() of a large flag overflows
+        raise ComputationError(f"coverage.external_data_flag must be 0 or 1, got {coverage.external_data_flag!r}")
     geographic = coverage.countries_covered / coverage.countries_total
     industry = coverage.industries_covered / coverage.industries_total
     layers = len(coverage.standard_layers_covered) / coverage.standard_layers_total
     external = 1.0 / (1.0 + math.exp(coverage.external_data_flag - 0.5))
-    return (geographic * industry * layers * external) ** 0.25
+    product = geographic * industry * layers * external
+    if not _is_finite(product):
+        raise ComputationError("coverage: the ratios multiply past float range")
+    return product ** 0.25
 
 
 def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
@@ -127,6 +132,8 @@ def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
     for index, item in enumerate(evidence):
         _require_finite_fields(f"evidence[{index}]", item)
         total += (item.auditability + item.traceability) / 2.0
+    if not _is_finite(total):
+        raise ComputationError("evidence: the item scores add up past float range")
     return total / len(evidence)
 
 
@@ -136,6 +143,7 @@ def exemplary_reference(recognition: RecognitionProfile) -> float:
         raise ComputationError("recognition.recognitions_per_year must be non-negative")
     if not 0 < recognition.single_event_confidence < 1:
         raise ComputationError("recognition.single_event_confidence must be strictly between 0 and 1")
+    _require_finite_fields("recognition", recognition)
     return 1.0 - (1.0 - recognition.single_event_confidence) ** recognition.recognitions_per_year
 
 
@@ -161,14 +169,8 @@ def statistical_methodology(sample_size: int, saturation_threshold: int, share_d
     _require_finite("sample_size", sample_size)
     _require_finite("saturation_threshold", saturation_threshold)
     _require_finite("share_deviation", share_deviation)
-    try:
-        saturation = min(1.0, sample_size / saturation_threshold)
-    except OverflowError:
-        raise ComputationError("sample_size is beyond float range") from None
-    try:
-        representativeness = 1.0 - share_deviation
-    except OverflowError:
-        raise ComputationError("share_deviation is beyond float range") from None
+    saturation = min(1.0, sample_size / saturation_threshold)
+    representativeness = 1.0 - share_deviation
     return METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
 
 
@@ -195,6 +197,8 @@ def agility(stats: AgilityStats) -> float:
     if stats.epsilon <= 0:
         raise ComputationError("agility.epsilon must be positive")
     _require_finite_fields("agility", stats)
+    if stats.change_proportion + stats.epsilon == 0:
+        raise ComputationError("agility.change_proportion + agility.epsilon must not be zero")
     ratio = stats.accuracy_gain / (stats.change_proportion + stats.epsilon)
     return min(1.0, max(0.0, ratio))
 
@@ -211,6 +215,8 @@ def human_governed(stats: GovernanceStats) -> float:
     """Share of governed cases that saw a human intervention."""
     if stats.governed_cases <= 0:
         raise ComputationError("governance.governed_cases must be positive")
+    _require_finite("governance.interventions", stats.interventions)
+    _require_finite("governance.governed_cases", stats.governed_cases)
     return stats.interventions / stats.governed_cases
 
 
@@ -220,8 +226,14 @@ def domain_expert(stats: GovernanceStats) -> float:
         raise ComputationError("governance.experts_total must be positive")
     if stats.stages_total <= 0:
         raise ComputationError("governance.stages_total must be positive")
+    _require_finite("governance.experts_involved", stats.experts_involved)
+    _require_finite("governance.experts_total", stats.experts_total)
+    _require_finite("governance.stages_with_experts", stats.stages_with_experts)
+    _require_finite("governance.stages_total", stats.stages_total)
     experts = stats.experts_involved / stats.experts_total
     stages = stats.stages_with_experts / stats.stages_total
+    if not _is_finite(experts + stages):
+        raise ComputationError("governance: the expert shares add up past float range")
     return (experts + stages) / 2.0
 
 
@@ -238,7 +250,7 @@ def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
             total += accuracy_series[t] - accuracy_series[t - 1]
             if total == math.inf or total == -math.inf:  # a float step, or the running sum, overflowed
                 raise OverflowError
-    except OverflowError:  # also an integer too large for a float
+    except OverflowError:  # also an integer step too large for a float
         raise ComputationError(f"accuracy_series[{t - 1}:{t + 1}]: step is beyond float range") from None
     return total / steps
 
@@ -249,6 +261,8 @@ def transparency(stats: GovernanceStats) -> float | None:
         raise ComputationError("governance.assumptions_required must be non-negative")
     if stats.assumptions_required == 0:
         return None
+    _require_finite("governance.assumptions_disclosed", stats.assumptions_disclosed)
+    _require_finite("governance.assumptions_required", stats.assumptions_required)
     return stats.assumptions_disclosed / stats.assumptions_required
 
 
@@ -256,6 +270,8 @@ def role_separation(stats: GovernanceStats) -> float:
     """Share of role relations kept separated."""
     if stats.role_relations_total <= 0:
         raise ComputationError("governance.role_relations_total must be positive")
+    _require_finite("governance.role_relations_separated", stats.role_relations_separated)
+    _require_finite("governance.role_relations_total", stats.role_relations_total)
     return stats.role_relations_separated / stats.role_relations_total
 
 
@@ -311,6 +327,8 @@ def _fold(
     for sub in applicable:
         if sub.value is None:
             raise ComputationError(f"{sub.metric_id.value}: applicable sub-score without a value")
+        if not _is_finite(sub.value):
+            _require_finite(f"{sub.metric_id.value} sub-score", sub.value)
         weight = weights[sub.metric_id] / raw_total if rescale else weights[sub.metric_id]
         contribution = weight * sub.value
         terms.append((sub.metric_id, weight, sub.value, contribution))
@@ -349,6 +367,11 @@ def _components_and_trust(
     return components, trust
 
 
+_TRUST_TERMS = (
+    "credibility", "reliability", "intimacy", "self_serving", "alpha[0]", "alpha[1]", "alpha[2]", "alpha[3]"
+)
+
+
 def trust_score(
     credibility: float,
     reliability: float,
@@ -356,8 +379,16 @@ def trust_score(
     self_serving: float,
     alpha: tuple[float, float, float, float],
 ) -> float:
-    """Squash the weighted component sum; self-serving counts against trust."""
+    """Squash the weighted component sum; self-serving counts against trust.
+
+    Raises :class:`ComputationError` for a component or coefficient that
+    is an integer beyond float range, and, as :func:`sigmoid` does, for a
+    NaN sum.
+    """
     a_c, a_r, a_i, a_s = alpha
+    for name, value in zip(_TRUST_TERMS, (credibility, reliability, intimacy, self_serving, *alpha)):
+        if isinstance(value, int) and not _is_finite(value):
+            raise ComputationError(f"{name} is beyond float range")
     return sigmoid(a_c * credibility + a_r * reliability + a_i * intimacy - a_s * self_serving)
 
 

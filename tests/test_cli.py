@@ -340,6 +340,15 @@ class TestSample:
         assert main(argv) == 2
         assert "--sizes must be a comma-separated list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["curve", "select"])
+    def test_bins_above_the_cap_exit_2(self, population_file, capsys, command):
+        argv = ["sample", command, "--population", str(population_file), "--seed", "7", "--bins", "1001"]
+        argv += ["--criterion", "region", "--sizes", "10"] if command == "curve" else ["--k", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bins must be at most 1000\n"
+
     def test_curve_rejects_oversized_samples(self, population_file, capsys):
         argv = [
             "sample",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import date
 
 import pytest
@@ -26,7 +27,7 @@ from stride.delta import (
     net_adjustment,
     validate_interval,
 )
-from stride.errors import SchemaError
+from stride.errors import ComputationError, SchemaError
 
 _PERIOD = (date(2023, 1, 1), date(2023, 12, 31))
 
@@ -244,3 +245,51 @@ class TestDeltaReport:
     def test_unknown_format_is_rejected(self):
         with pytest.raises(SchemaError, match="unknown report format"):
             emit_delta_report(DeltaReport((), ZERO_INTERVAL), "yaml")
+
+
+class TestNonFiniteNumbers:
+    """NaN, the infinities and integers beyond float range are refused where they enter, by path."""
+
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 1.0), (0.0, math.inf), (-(10**400), 0.0)], ids=["nan", "inf", "huge-int"]
+    )
+    def test_validate_interval(self, bounds):
+        with pytest.raises(SchemaError) as caught:
+            validate_interval(Interval(*bounds), "annotations['labor'].adjustment")
+        assert str(caught.value) == "annotations['labor'].adjustment: bounds must be finite numbers within float range"
+
+    def test_attach_classification_refuses_a_nan_adjustment(self):
+        # It returned an adjustment of Interval(nan, 1.0) before.
+        diffs = diff_ratings(_record("b", {"labor": 6.0}), _record("s", {"labor": 5.0}))
+        annotation = Annotation(DiscrepancyCategory.DEFINITION_AMBIGUITY, Interval(math.nan, 1.0))
+        with pytest.raises(SchemaError, match=r"^annotations\['labor'\]\.adjustment: bounds must be finite"):
+            attach_classification(diffs, {"labor": annotation})
+
+    def test_net_adjustment_refuses_a_bound_beyond_float_range(self):
+        item = DiscrepancyItem("a", 1.0, None, DiscrepancyCategory.DEFINITION_AMBIGUITY, Interval(0.0, 10**400), (), "")
+        with pytest.raises(ComputationError) as caught:
+            net_adjustment([item])
+        assert str(caught.value) == "net adjustment is beyond float range"
+
+    @pytest.mark.parametrize("format", ["json", "markdown"])
+    def test_emit_delta_report_refuses_nan(self, format):
+        # JSON raised the encoder's ValueError, and Markdown printed "+nan to +nan".
+        item = DiscrepancyItem("a", 1.0, None, DiscrepancyCategory.DEFINITION_AMBIGUITY, Interval(0.0, 0.5), (), "")
+        report = DeltaReport((item,), Interval(math.nan, math.nan))
+        with pytest.raises(ComputationError) as caught:
+            emit_delta_report(report, format)
+        assert str(caught.value) == "delta report has no finite net_adjustment.lower"
+
+    def test_diff_ratings_refuses_a_score_beyond_float_range(self):
+        baseline = _record("b", {"labor": 10**400}, scale=(0, 10**401))
+        with pytest.raises(SchemaError) as caught:
+            diff_ratings(baseline, _record("s", {"labor": 5.0}))
+        assert str(caught.value) == "baseline.issue_scores['labor'].score: expected a finite number within float range"
+
+    def test_diff_ratings_refuses_an_integer_difference_beyond_float_range(self):
+        # Each score is within float range; their exact int difference is not.
+        largest = int(1.7e308)
+        scale = (-largest, largest)
+        baseline = _record("b", {"labor": -largest}, scale=scale)
+        with pytest.raises(ComputationError, match=r"^issue 'labor': recomputed .* is beyond float range$"):
+            diff_ratings(baseline, _record("s", {"labor": largest}, scale=scale))

@@ -127,6 +127,15 @@ def test_bare_import_loads_no_submodule_yet_exposes_each(tmp_path):
     assert version == "0.1.0"
 
 
+def test_errors_loads_no_other_stride_module(tmp_path):
+    # Every module imports the finite-number rule from stride.errors, so it must import none of them.
+    probe = (
+        "import json, sys, stride.errors\n"
+        "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'stride')))\n"
+    )
+    assert json.loads(_fresh(probe, store=tmp_path)) == ["stride", "stride.errors"]
+
+
 def test_public_names_resolve_to_their_submodule_objects():
     names = [name for module, listed in EXPORTS.items() for name in listed.split()]
     assert len(names) == 57

@@ -32,6 +32,7 @@ TR = MetricId.TIME_RELEVANCE
 HG = MetricId.HUMAN_GOVERNED
 DE = MetricId.DOMAIN_EXPERT
 IF = MetricId.ITERATIVE_FEEDBACK
+AG = MetricId.AGILITY
 
 
 def _config(weights=None, applicability=None, alpha=(0.25, 0.25, 0.25, 0.25)) -> WeightConfig:
@@ -89,6 +90,23 @@ class TestWeightConfigValidation:
             validate_weight_config(_config(weights={ER: value}))
         with pytest.raises(SchemaError, match=rf"^alpha\.R: must be a finite number, got {value!r}$"):
             validate_weight_config(_config(alpha=(0.25, value, 0.25, 0.25)))
+
+    def test_weight_or_alpha_beyond_float_range_rejected(self):
+        # Intended divergence: both raised a bare OverflowError before.
+        message = "must be a finite number, got an integer beyond float range"
+        cases = [
+            (_config(weights={AG: 10**400}), "weights.AG"),
+            (_config(alpha=(0.25, -(10**400), 0.25, 0.25)), "alpha.R"),
+        ]
+        for config, path in cases:
+            with pytest.raises(SchemaError) as caught:
+                validate_weight_config(config)
+            assert str(caught.value) == f"{path}: {message}"
+
+    def test_scoring_refuses_a_weight_beyond_float_range(self, luxshare_manifest):
+        message = r"^weights\.AG: must be a finite number, got an integer beyond float range$"
+        with pytest.raises(SchemaError, match=message):
+            score_dataset(luxshare_manifest, _config(weights={AG: 10**400}))
 
     def test_component_with_no_applicable_metric_rejected(self):
         with pytest.raises(SchemaError, match="no applicable metric"):

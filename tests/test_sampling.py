@@ -430,3 +430,52 @@ class TestSelection:
     def test_criteria_are_required(self, industry_population):
         with pytest.raises(SchemaError, match="at least one criterion"):
             select_representative_sample(industry_population, 5, [], seed=0)
+
+
+# The four entry points, each on one criterion, with ``bins`` and ``seed`` given.
+SEEDED_OR_BINNED = {
+    "distribution": lambda records, criterion, bins, seed: categorical_distribution(records, criterion, bins),
+    "curve": lambda records, criterion, bins, seed: saturation_curve(records, criterion, [5], seed, bins),
+    "selection": lambda records, criterion, bins, seed: select_representative_sample(
+        records, 5, [criterion], seed, bins
+    ),
+    "aggregate": lambda records, criterion, bins, seed: aggregate_divergence(records, records[:5], [criterion], bins),
+}
+
+
+class TestNumericArguments:
+    """``bins`` and ``seed`` are ints, ``bins`` is capped, and a spread past float range is refused."""
+
+    @pytest.mark.parametrize("caller", ["curve", "selection"])
+    def test_a_nan_seed_is_refused(self, industry_population, caller):
+        # random.Random hashes a float seed, and a NaN hashes by identity, so
+        # equal calls drew different samples.
+        with pytest.raises(SchemaError) as caught:
+            SEEDED_OR_BINNED[caller](industry_population, "industry", 10, math.nan)
+        assert str(caught.value) == "seed must be an integer, got nan"
+
+    @pytest.mark.parametrize("caller", SEEDED_OR_BINNED)
+    def test_a_float_bins_is_refused(self, industry_population, caller):
+        with pytest.raises(SchemaError) as caught:
+            SEEDED_OR_BINNED[caller](industry_population, "revenue", 2.5, 0)
+        assert str(caught.value) == "bins must be an integer, got 2.5"
+
+    @pytest.mark.parametrize("caller", SEEDED_OR_BINNED)
+    def test_bins_above_the_cap_are_refused(self, industry_population, caller):
+        with pytest.raises(SchemaError) as caught:
+            SEEDED_OR_BINNED[caller](industry_population, "revenue", 1001, 0)
+        assert str(caught.value) == "bins must be at most 1000"
+
+    @pytest.mark.parametrize("caller", SEEDED_OR_BINNED)
+    def test_bins_beyond_float_range_are_refused_for_any_criterion(self, industry_population, caller):
+        # A categorical criterion, which needs no quantiles, so an uncapped call returns at once.
+        with pytest.raises(SchemaError) as caught:
+            SEEDED_OR_BINNED[caller](industry_population, "industry", 10**400, 0)
+        assert str(caught.value) == "bins must be at most 1000"
+
+    @pytest.mark.parametrize("shares", [[1e308, -1e308], [1e308, 1e308, -1e308]], ids=["square", "sum"])
+    def test_a_spread_beyond_float_range_is_refused(self, shares):
+        # The square raised OverflowError before, and the overflowed sum returned inf.
+        with pytest.raises(ComputationError) as caught:
+            representativeness_sigma(shares)
+        assert str(caught.value) == "shares spread beyond float range"

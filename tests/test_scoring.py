@@ -225,8 +225,12 @@ class TestLeafMetrics:
             statistical_methodology(*args)
 
     def test_iterative_feedback_refuses_a_step_beyond_float_range(self):
-        with pytest.raises(ComputationError, match=r"accuracy_series\[0:2\]"):
+        # Intended divergence: the point itself is refused now, where the
+        # step [0:2] was refused before, since every point goes through the
+        # rule for finite numbers within float range.
+        with pytest.raises(ComputationError) as caught:
             iterative_feedback([0.0, 10**400])
+        assert str(caught.value) == "accuracy_series[1] is beyond float range"
 
     def test_iterative_feedback_refuses_a_nan_point(self):
         with pytest.raises(ComputationError, match=r"accuracy_series\[1\] must be finite"):
@@ -466,3 +470,132 @@ class TestSectionMetricsRefuseNaN:
     def test_an_integer_beyond_float_range_is_refused(self, call, field):
         with pytest.raises(ComputationError, match=f"^{field} is beyond float range$"):
             call()
+
+
+class TestIntegersBeyondFloatRangeAndNaN:
+    """Each function refuses NaN and integers beyond float range in what it reads, naming the field."""
+
+    @pytest.mark.parametrize(
+        ("args", "name"),
+        [
+            ((10**400, 0.5, 0.5, 0.5, (0.25,) * 4), "credibility"),
+            ((0.5, 0.5, 0.5, 0.5, (0.25, 0.25, 0.25, -(10**400))), "alpha[3]"),
+        ],
+        ids=["component", "alpha"],
+    )
+    def test_trust_score(self, args, name):
+        with pytest.raises(ComputationError) as caught:
+            trust_score(*args)
+        assert str(caught.value) == f"{name} is beyond float range"
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [(math.nan, "IM sub-score must be finite, got nan"), (10**400, "IM sub-score is beyond float range")],
+        ids=["nan", "huge-int"],
+    )
+    def test_component_score(self, value, message):
+        subs = [SubScore(metric, 0.5, True, "digest") for metric in MetricId]
+        subs[0] = SubScore(MetricId.INCLUSIVENESS_MATERIALITY, value, True, "digest")
+        with pytest.raises(ComputationError) as caught:
+            component_score(ComponentId.CREDIBILITY, subs, equal_weight_config())
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            (math.nan, "recognition.recognitions_per_year must be finite, got nan"),
+            (10**400, "recognition.recognitions_per_year is beyond float range"),
+        ],
+        ids=["nan", "huge-int"],
+    )
+    def test_exemplary_reference(self, value, message):
+        with pytest.raises(ComputationError) as caught:
+            exemplary_reference(RecognitionProfile(value, 0.5))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("metric", "field"),
+        [
+            (human_governed, "interventions"),
+            (human_governed, "governed_cases"),
+            (domain_expert, "experts_involved"),
+            (domain_expert, "experts_total"),
+            (domain_expert, "stages_with_experts"),
+            (domain_expert, "stages_total"),
+            (transparency, "assumptions_disclosed"),
+            (transparency, "assumptions_required"),
+            (role_separation, "role_relations_separated"),
+            (role_separation, "role_relations_total"),
+        ],
+        ids=lambda item: getattr(item, "__name__", item),
+    )
+    @pytest.mark.parametrize(
+        ("value", "ending"),
+        [(math.nan, "must be finite, got nan"), (10**400, "is beyond float range")],
+        ids=["nan", "huge-int"],
+    )
+    def test_governance_metrics(self, metric, field, value, ending):
+        stats = _governance(**{"assumptions_disclosed": 2, "assumptions_required": 3, field: value})
+        with pytest.raises(ComputationError) as caught:
+            metric(stats)
+        assert str(caught.value) == f"governance.{field} {ending}"
+
+    def test_statistical_methodology(self):
+        # Intended divergence: this returned 0.45 before, the huge threshold
+        # dividing 5 down to 0.0.
+        with pytest.raises(ComputationError) as caught:
+            statistical_methodology(5, 10**400, 0.1)
+        assert str(caught.value) == "saturation_threshold is beyond float range"
+
+    @pytest.mark.parametrize("flag", [1e308, -1e308, 0.5])
+    def test_inclusiveness_materiality_refuses_a_flag_other_than_0_or_1(self, flag):
+        # exp(1e308 - 0.5) overflowed before.
+        with pytest.raises(ComputationError) as caught:
+            inclusiveness_materiality(CoverageProfile(3, 10, 3, 5, frozenset(), 4, flag))
+        assert str(caught.value) == f"coverage.external_data_flag must be 0 or 1, got {flag!r}"
+
+
+class TestOverflowFromFiniteFields:
+    """Finite fields whose arithmetic leaves float range, or the reals, are refused; none returns inf or a complex."""
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(-1, 10, 3, 5, frozenset(), 4, 0)),
+                "coverage.countries_covered must be non-negative",
+            ),
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(3, 10, -1e308, 5, frozenset(), 4, 0)),
+                "coverage.industries_covered must be non-negative",
+            ),
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(1e308, 1, 1e308, 1, frozenset({"global"}), 1, 0)),
+                "coverage: the ratios multiply past float range",
+            ),
+            (
+                lambda: auditability_traceability([EvidenceItem("e1", "doc://a", 1e308, 1e308)]),
+                "evidence: the item scores add up past float range",
+            ),
+            (
+                lambda: agility(AgilityStats(0.5, -1e308, 1e308)),
+                "agility.change_proportion + agility.epsilon must not be zero",
+            ),
+            (
+                lambda: domain_expert(_governance(experts_involved=1e308, stages_with_experts=1e308, stages_total=1)),
+                "governance: the expert shares add up past float range",
+            ),
+        ],
+        ids=[
+            "negative-countries",
+            "negative-industries",
+            "ratio-product",
+            "evidence-sum",
+            "zero-denominator",
+            "expert-shares",
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ComputationError) as caught:
+            call()
+        assert str(caught.value) == message
