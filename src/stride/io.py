@@ -3,11 +3,14 @@
 All readers take document text and fail with :class:`SchemaError`
 messages that name the offending field path (JSON syntax errors carry
 line and column instead).  Numbers must be finite: ``NaN`` and
-``Infinity`` literals, and values beyond float range, are refused.
+``Infinity`` literals, integer literals too long to convert, and values
+beyond float range, are refused.
 Writers emit indented JSON whose floats round-trip exactly, so
-``parse(emit(x))`` reproduces ``x``.  :func:`report_to_json` fills a
-layout that the stdlib's indented encoder compiled once, on first use,
-for the report's shape; its bytes are those of that encoder.
+``parse(emit(x))`` reproduces ``x``.  One function states the report
+document, keys in sorted order: :func:`report_to_dict` keeps its values,
+and :func:`report_to_json` fills them into a layout that the stdlib's
+indented encoder rendered once, on first use, from the same function;
+its bytes are those of that encoder.
 
 One table codec reads manifests, weight configs, reports, rating records
 and annotations: :func:`_walk` reads an object through a table of its
@@ -41,6 +44,7 @@ import io as _stdio
 import json
 import math
 import re
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import is_dataclass
 from datetime import date
@@ -104,11 +108,16 @@ def _load_json(text: str) -> object:
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         error = exc
-    except _NonFiniteLiteral as exc:
-        # The parser does not say where.  Strings skipped, the first literal is the one it met.
-        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)', text)
-        literal = next(m for m in tokens if m.group(1))
-        error = json.JSONDecodeError(str(exc), text, literal.start())
+    except ValueError as exc:  # a NaN or infinity literal, or an integer too long for int()
+        # The parser does not say where.  Strings skipped, the first such literal is the one it met:
+        # a constant, or a number's integer part with nothing after it.
+        limit = sys.get_int_max_str_digits()
+        for literal in re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)|-?(\d+)([.eE][-+\d.eE]*)?', text):
+            constant, digits, rest = literal.groups()
+            if constant or digits and not rest and len(digits) > limit > 0:
+                break
+        message = str(exc) if constant else f"integer of {len(digits)} digits is out of float range"
+        error = json.JSONDecodeError(message, text, literal.start())
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     raise SchemaError(f"invalid JSON at line {error.lineno}, column {error.colno}: {error.msg}")
@@ -277,6 +286,11 @@ def _encode_object(obj: object) -> dict:
     return result
 
 
+def _indented_json(document: object) -> str:
+    """The writers' form: indented, keys sorted, non-finite floats refused, ending in a newline."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Dataset manifests
 # ---------------------------------------------------------------------------
@@ -306,7 +320,7 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
-    return json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _indented_json(manifest_to_dict(manifest))
 
 
 def manifest_violations(text: str) -> tuple[DatasetManifest, list[Violation]]:
@@ -376,18 +390,38 @@ def weight_config_from_obj(obj: object, path: str = "") -> WeightConfig:
 _DECODERS[WeightConfig] = lambda value, path: weight_config_from_obj(_obj(value, path), path)
 
 
-def weight_config_to_dict(config: WeightConfig) -> dict:
-    result: dict = {
-        "alpha": {code: coefficient for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha)},
+def _by_code(pairs: Iterable[tuple]) -> list[tuple]:
+    return sorted(pairs, key=lambda pair: pair[1])
+
+
+# The writers' keys in sorted order, the order the encoder writes them in.
+_COMPONENT_KEYS = tuple(code for _, code in COMPONENT_CODES)
+_SORTED_COMPONENTS = _by_code(COMPONENT_CODES)
+_SORTED_METRICS = _by_code(METRIC_CODES)
+_SORTED_GROUPS = [(group, _by_code(members)) for group, members in sorted(_WEIGHT_GROUPS.items())]
+
+
+def _config_document(config: WeightConfig, leaf: Callable) -> dict:
+    """The config document, its keys in sorted order, holding ``leaf(x)`` for each number or flag ``x``."""
+    document = {
+        "alpha": {code: leaf(coefficient) for code, coefficient in sorted(zip(_COMPONENT_KEYS, config.alpha))},
+        "applicability": {code: leaf(config.applicability[metric]) for metric, code in _SORTED_METRICS},
     }
-    for group_name, members in _WEIGHT_GROUPS.items():
-        result[group_name] = {code: config.weights[metric] for metric, code in members}
-    result["applicability"] = {code: config.applicability[metric] for metric, code in METRIC_CODES}
-    return result
+    for group, members in _SORTED_GROUPS:
+        document[group] = {code: leaf(config.weights[metric]) for metric, code in members}
+    return document
+
+
+def _same(value: object) -> object:
+    return value
+
+
+def weight_config_to_dict(config: WeightConfig) -> dict:
+    return _config_document(config, _same)
 
 
 def weight_config_to_json(config: WeightConfig) -> str:
-    return json.dumps(weight_config_to_dict(config), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _indented_json(weight_config_to_dict(config))
 
 
 # ---------------------------------------------------------------------------
@@ -395,133 +429,71 @@ def weight_config_to_json(config: WeightConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: StrideReport) -> dict:
+def _report_document(report: StrideReport, leaf: Callable) -> dict:
+    """The one statement of the report document, as :func:`_config_document` is of the config's.
+
+    Since keys come in sorted order, ``leaf`` meets the scalars in the
+    order that an encoder with ``sort_keys`` writes them.
+    """
     return {
-        "spec_version": SPEC_VERSION,
-        "manifest_digest": report.manifest_digest,
+        "component_scores": {code: leaf(report.component_scores[component]) for component, code in _SORTED_COMPONENTS},
+        "config": _config_document(report.config_snapshot, leaf),
+        "manifest_digest": leaf(report.manifest_digest),
+        "spec_version": leaf(SPEC_VERSION),
         "sub_scores": [
             {
-                "metric_id": _METRIC_CODE[sub.metric_id],
-                "value": sub.value,
-                "applicable": sub.applicable,
-                "inputs_digest": sub.inputs_digest,
+                "applicable": leaf(sub.applicable),
+                "inputs_digest": leaf(sub.inputs_digest),
+                "metric_id": leaf(_METRIC_CODE[sub.metric_id]),
+                "value": leaf(sub.value),
             }
             for sub in report.sub_scores
         ],
-        "component_scores": {code: report.component_scores[component] for component, code in COMPONENT_CODES},
-        "trust": report.trust,
-        "config": weight_config_to_dict(report.config_snapshot),
+        "trust": leaf(report.trust),
     }
 
 
-def _dump_report(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-# Compiled report layouts by sub-score count: (layout, shape) or None when
-# the document's keys defeat the placeholders.  Filled on first use.
-_REPORT_LAYOUTS: dict[int, tuple[str, object] | None] = {}
-
-
-class _Irregular(Exception):
-    """A report document that its compiled layout cannot render."""
-
-
-def _skeleton(node: object, leaves: list) -> tuple[object, object]:
-    """(copy of ``node`` with a numbered placeholder per leaf, its shape).
-
-    The shape of a dict is (its sorted keys, their shapes), of a list
-    (``None``, its items' shapes), and of a leaf ``None``.  Leaves are
-    numbered in sorted-key order, the order the encoder writes them.
-    """
-    if isinstance(node, dict):
-        keys = tuple(sorted(node))
-        pairs = [_skeleton(node[key], leaves) for key in keys]
-        return dict(zip(keys, (copy for copy, _ in pairs))), (keys, tuple(shape for _, shape in pairs))
-    if isinstance(node, list):
-        pairs = [_skeleton(item, leaves) for item in node]
-        return [copy for copy, _ in pairs], (None, tuple(shape for _, shape in pairs))
-    leaves.append(node)
-    return f"\x00{len(leaves) - 1}", None
-
-
-def _compile_report_layout(document: dict) -> tuple[str, object] | None:
-    """The stdlib's rendering of ``document`` with a ``%s`` slot per leaf, and its shape."""
-    leaves: list = []
-    copy, shape = _skeleton(document, leaves)
-    text = _dump_report(copy).replace("%", "%%")
-    placeholder = r'"\\u0000(\d+)"'
-    if re.findall(placeholder, text) != [str(n) for n in range(len(leaves))]:
-        return None  # a key spells a placeholder
-    return re.sub(placeholder, "%s", text), shape
+def report_to_dict(report: StrideReport) -> dict:
+    return _report_document(report, _same)
 
 
 _encode_json_str = json.encoder.encode_basestring_ascii
-
-
-def _fill(shape: tuple, node: object, out: list) -> None:
-    """Append what fills each slot of ``node``'s layout, in ``shape``'s order.
-
-    That is each leaf's JSON text, or a plain finite float itself.
-    """
-    keys, subs = shape
-    if keys is None:
-        if not isinstance(node, list) or len(node) != len(subs):
-            raise _Irregular
-        values = node
-    else:
-        if not isinstance(node, dict) or len(node) != len(keys):
-            raise _Irregular
-        values = map(node.__getitem__, keys)
-    append = out.append
-    # The scalar dispatch of the stdlib's indented encoder with allow_nan=False,
-    # after a shortcut for plain finite floats: a ``%s`` slot renders those
-    # with ``float.__repr__`` itself.
-    for value, sub in zip(values, subs):
-        if sub is not None:
-            _fill(sub, value, out)
-        elif type(value) is float and math.isfinite(value):
-            append(value)
-        elif isinstance(value, str):
-            append(_encode_json_str(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float) and math.isfinite(value):
-            append(float.__repr__(value))
-        else:
-            raise _Irregular
+_report_layout = ""  # the report text with a %s slot per leaf, rendered on first use
 
 
 def report_to_json(report: StrideReport) -> str:
     """Indented report JSON, byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``.
 
-    The text is a layout that the stdlib encoder compiled once per
-    sub-score count, filled with each leaf rendered as that encoder
-    renders it.  A document the layout does not fit, or one holding a
-    non-finite float or a leaf that is not a JSON scalar, goes through
-    the stdlib encoder itself, so its errors are the stdlib's own.
+    A report of the one shape that scoring makes, 13 sub-scores and four
+    alphas, whose leaves are plain finite floats, bools, strings and
+    ``None``, fills a layout that the stdlib encoder rendered once from
+    the same document with a placeholder at every leaf; each slot takes
+    the leaf's text as that encoder writes it.  Any other report goes
+    through the stdlib encoder itself, so its errors are the stdlib's own.
     """
-    document = report_to_dict(report)
-    count = len(document["sub_scores"])
-    if count not in _REPORT_LAYOUTS:
-        _REPORT_LAYOUTS[count] = _compile_report_layout(document)
-    compiled = _REPORT_LAYOUTS[count]
-    if compiled is not None:
-        layout, shape = compiled
-        leaves: list = []
-        try:
-            _fill(shape, document, leaves)
-        except (_Irregular, KeyError):
-            pass
+    global _report_layout
+    leaves: list = []
+    _report_document(report, leaves.append)
+    if len(report.sub_scores) == len(METRIC_CODES) and len(report.config_snapshot.alpha) == len(COMPONENT_CODES):
+        for index, value in enumerate(leaves):
+            kind = type(value)
+            if kind is float:  # ``%s`` writes it with ``float.__repr__``, as the encoder does
+                if not math.isfinite(value):
+                    break
+            elif kind is str:
+                leaves[index] = _encode_json_str(value)
+            elif kind is bool:
+                leaves[index] = "true" if value else "false"
+            elif value is None:
+                leaves[index] = "null"
+            else:
+                break
         else:
-            return layout % tuple(leaves)
-    return _dump_report(document)
+            if not _report_layout:
+                placeholders = _report_document(report, lambda value: "\x00")
+                _report_layout = _indented_json(placeholders).replace('"\\u0000"', "%s")
+            return _report_layout % tuple(leaves)
+    return _indented_json(report_to_dict(report))
 
 
 def _sub_score(value: object, path: str) -> SubScore:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cache
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
-from .errors import SchemaError, _is_finite
+from .errors import SchemaError, _is_finite, _shown
 
 # Version stamp carried by every emitted JSON report.
 SPEC_VERSION = "1.0"
@@ -111,7 +111,7 @@ _POSITIVE = (lambda value: value > 0, "must be positive".format)
 _AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1".format)
 _UNIT = (lambda value: 0 <= value <= 1, "must be in [0, 1], got {!r}".format)
 _OPEN_UNIT = (lambda value: 0 < value < 1, "must be strictly between 0 and 1, got {!r}".format)
-_FLAG = (lambda value: value in (0, 1), "must be 0 or 1, got {!r}".format)
+_FLAG = (lambda value: value in (0, 1), lambda value: f"must be 0 or 1, got {_shown(value)}")
 _LAYER_COUNT = (lambda value: value == STANDARD_LAYER_COUNT, f"must be {STANDARD_LAYER_COUNT}".format)
 _KNOWN_LAYERS = (
     STANDARD_LAYERS.issuperset,

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ComputationError, SchemaError, _is_finite
+from .errors import ComputationError, SchemaError, _is_finite, _shown
 
 DEFAULT_BINS = 10
 
@@ -482,7 +482,7 @@ def saturation_curve(
         if not _is_int(size):
             raise SchemaError(f"sizes must hold integers, got {size!r}")
         if not 0 < size <= n:
-            raise ComputationError(f"sample size {size} outside [1, {n}]")
+            raise ComputationError(f"sample size {_shown(size)} outside [1, {n}]")
         if size == n and position == last:
             # A whole-population sample is drawn in the pool branch and leaves
             # no record undrawn, so its counts are the population's; the
@@ -556,12 +556,12 @@ def select_representative_sample(
     if not _is_int(seed):
         raise SchemaError(f"seed must be an integer, got {seed!r}")
     if not 0 < k <= n:
-        raise ComputationError(f"k must be in [1, {n}], got {k}")
+        raise ComputationError(f"k must be in [1, {n}], got {_shown(k)}")
     if max_swaps is not None:
         if not _is_int(max_swaps):
             raise SchemaError(f"max_swaps must be an integer, got {max_swaps!r}")
         if max_swaps < 0:
-            raise SchemaError(f"max_swaps must be >= 0, got {max_swaps}")
+            raise SchemaError(f"max_swaps must be >= 0, got {_shown(max_swaps)}")
 
     columns = [_bin_column(population, criterion, bins) for criterion in criteria]
     population_probs = [

@@ -92,6 +92,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ComputationError(f"{name} must be finite, got {value!r}")
 
 
+def _finite_result(value: float, what: str) -> float:
+    """``value``, refused when a tiny divisor has taken ``what`` past float range."""
+    if not _is_finite(value):
+        raise ComputationError(f"{what} is beyond float range")
+    return value
+
+
 def _require_finite_fields(section: str, stats: object) -> None:
     """:func:`_require_finite` on each number field of a manifest section."""
     for name, value in vars(stats).items():
@@ -171,7 +178,8 @@ def statistical_methodology(sample_size: int, saturation_threshold: int, share_d
     _require_finite("share_deviation", share_deviation)
     saturation = min(1.0, sample_size / saturation_threshold)
     representativeness = 1.0 - share_deviation
-    return METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
+    blend = METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
+    return _finite_result(blend, "sample_size / saturation_threshold")
 
 
 def ground_truth(stats: AnnotationStats) -> float:
@@ -184,12 +192,13 @@ def ground_truth(stats: AnnotationStats) -> float:
     _require_finite_fields("annotation", stats)
     tenure = min(1.0, stats.mean_tenure_years / stats.tenure_cap_years)
     human, tenured, human_machine, machine_machine = GROUND_TRUTH_WEIGHTS
-    return (
+    blend = (
         human * stats.human_fraction
         + tenured * tenure
         + human_machine * stats.human_machine_deviation
         + machine_machine * stats.machine_machine_deviation
     )
+    return _finite_result(blend, "annotation.mean_tenure_years / annotation.tenure_cap_years")
 
 
 def agility(stats: AgilityStats) -> float:
@@ -208,7 +217,7 @@ def security_safety(audit: SafetyAudit) -> float:
     if audit.total_rows <= 0:
         raise ComputationError("safety.total_rows must be positive")
     _require_finite_fields("safety", audit)
-    return 1.0 - audit.harmful_rows / audit.total_rows
+    return _finite_result(1.0 - audit.harmful_rows / audit.total_rows, "safety.harmful_rows / safety.total_rows")
 
 
 def human_governed(stats: GovernanceStats) -> float:
@@ -217,7 +226,9 @@ def human_governed(stats: GovernanceStats) -> float:
         raise ComputationError("governance.governed_cases must be positive")
     _require_finite("governance.interventions", stats.interventions)
     _require_finite("governance.governed_cases", stats.governed_cases)
-    return stats.interventions / stats.governed_cases
+    return _finite_result(
+        stats.interventions / stats.governed_cases, "governance.interventions / governance.governed_cases"
+    )
 
 
 def domain_expert(stats: GovernanceStats) -> float:
@@ -263,7 +274,10 @@ def transparency(stats: GovernanceStats) -> float | None:
         return None
     _require_finite("governance.assumptions_disclosed", stats.assumptions_disclosed)
     _require_finite("governance.assumptions_required", stats.assumptions_required)
-    return stats.assumptions_disclosed / stats.assumptions_required
+    return _finite_result(
+        stats.assumptions_disclosed / stats.assumptions_required,
+        "governance.assumptions_disclosed / governance.assumptions_required",
+    )
 
 
 def role_separation(stats: GovernanceStats) -> float:
@@ -272,7 +286,10 @@ def role_separation(stats: GovernanceStats) -> float:
         raise ComputationError("governance.role_relations_total must be positive")
     _require_finite("governance.role_relations_separated", stats.role_relations_separated)
     _require_finite("governance.role_relations_total", stats.role_relations_total)
-    return stats.role_relations_separated / stats.role_relations_total
+    return _finite_result(
+        stats.role_relations_separated / stats.role_relations_total,
+        "governance.role_relations_separated / governance.role_relations_total",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +333,13 @@ def _fold(
     if not applicable:
         raise ComputationError(f"component {component_id.value}: no applicable sub-score")
     raw_total = 0.0
-    for sub in applicable:
-        raw_total += weights[sub.metric_id]
+    try:
+        for sub in applicable:
+            raw_total += weights[sub.metric_id]
+    except OverflowError:  # an int weight too large for a float
+        raw_total = math.inf
+    if not _is_finite(raw_total):  # a config that validate_weight_config did not see
+        raise ComputationError(f"component {component_id.value}: applicable weights do not sum to a finite number")
     if raw_total == 0:
         raise ComputationError(f"component {component_id.value}: applicable weights sum to zero")
     rescale = abs(raw_total - 1.0) > 1e-12
@@ -333,6 +355,8 @@ def _fold(
         contribution = weight * sub.value
         terms.append((sub.metric_id, weight, sub.value, contribution))
         total += contribution
+    if not _is_finite(total):
+        raise ComputationError(f"component {component_id.value}: weighted sub-scores add up past float range")
     return terms, total
 
 
@@ -345,7 +369,9 @@ def component_score(
 
     Weights are taken from ``config`` and renormalised over the
     sub-scores that are actually applicable, so listed term weights
-    always sum to one.
+    always sum to one.  ``config`` need not be validated: weights that
+    do not sum to a finite number, or a total past float range, raise
+    :class:`ComputationError`.
     """
     terms, total = _fold(component_id, {sub.metric_id: sub for sub in sub_scores}, config.weights)
     return ComponentBreakdown(component_id, tuple(ComponentTerm(*term) for term in terms), total)

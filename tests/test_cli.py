@@ -678,3 +678,38 @@ class TestPopulationIdentity:
         )
         assert main(["sample", "select", "--k", "3", "--seed", "0", "--population", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == [" r0", "r0", "r0 "]
+
+
+class TestOverlongIntegerLiterals:
+    """An integer literal longer than the interpreter converts (4300 digits by default) is bad input."""
+
+    LITERAL = "-" + "9" * 5000
+
+    @pytest.mark.parametrize(
+        ("argv", "before", "after"),
+        [
+            (["validate", "--manifest", "{doc}"], '{"dataset_id": "d 12345",\n "manifest_version": ', "}"),
+            (["score", "--manifest", "{manifest}", "--weights", "{doc}"], '{"alpha": {"C": 0.5, "R": 1e2, "I": ', "}}"),
+            (
+                [*SAMPLE_COMMANDS["curve"], "--population", "{doc}"],
+                '[{"record_id": "r1", "region": "apac", "size": 7},\n {"record_id": "r2", "size": ',
+                "}]",
+            ),
+            (["delta", "--baseline", "{doc}", "--stride", "{rating}"], '{"issue_scores": {"pay": {"score": ', "}}}"),
+        ],
+        ids=["manifest", "weights", "population", "rating-record"],
+    )
+    def test_exits_2_with_line_and_column(
+        self, store, manifest_file, rating_files, tmp_path, capsys, argv, before, after
+    ):
+        document = tmp_path / "document.json"
+        document.write_text(before + self.LITERAL + after, encoding="utf-8")
+        paths = {"doc": document, "manifest": manifest_file, "rating": rating_files[0]}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        line = before.count("\n") + 1
+        column = len(before) - before.rfind("\n")
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid JSON at line {line}, column {column}: integer of 5000 digits is out of float range\n"
+        )

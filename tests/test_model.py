@@ -176,6 +176,17 @@ class TestManifestValidation:
         violations = validate_manifest(manifest)
         assert any(v.path == "coverage.external_data_flag" for v in violations)
 
+    @pytest.mark.parametrize(
+        ("flag", "shown"), [(2, "2"), (10**5000, "<an integer of more than 4300 digits>")], ids=["two", "5001-digits"]
+    )
+    def test_bad_external_flag_is_named_in_the_message(self, luxshare_manifest, flag, shown):
+        # A flag too long for repr() raised ValueError while its message was written.
+        coverage = dataclasses.replace(luxshare_manifest.coverage, external_data_flag=flag)
+        manifest = dataclasses.replace(luxshare_manifest, coverage=coverage)
+        assert [str(v) for v in validate_manifest(manifest)] == [
+            f"coverage.external_data_flag: must be 0 or 1, got {shown}"
+        ]
+
     def test_covered_beyond_total_reported(self, luxshare_manifest):
         coverage = dataclasses.replace(luxshare_manifest.coverage, countries_covered=500)
         manifest = dataclasses.replace(luxshare_manifest, coverage=coverage)

@@ -2,19 +2,17 @@
 
 Each case starts from a valid argument set and puts hostile numbers into
 one or two of its number fields: NaN, the infinities, the ints
-``±10**400`` (beyond float range), ``±1e308``, ``0`` and ``-0.0``.
+``±10**400`` (beyond float range), ``±1e308``, the subnormal divisors
+``±1e-320``, ``0`` and ``-0.0``.
 Every field is tried alone with every value, and fixed-seed pairs of
 fields follow.  Whatever a function makes of its input, only a
 :class:`~stride.errors.StrideError` may escape, no number it returns may
 be non-finite or beyond float range, and any trust it returns lies
 strictly inside (0, 1).
 
-Left out, for a later fuzzer: numeric strings and other wrong types, and
-tiny divisors such as a float ``1e-320`` as ``role_relations_total``,
-which make ``inf`` from finite inputs.  ``component_score`` takes its
-weights as :func:`~stride.model.validate_weight_config` left them, so
-only its sub-score values are fuzzed here; its weights are fuzzed
-through ``validate_weight_config`` and ``score_dataset``.
+``component_score`` takes an unvalidated config, so its weights are
+fuzzed raw, beside its sub-score values.  Left out, for a later fuzzer:
+numeric strings and other wrong types.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from stride.model import (
     SubScore,
     TemporalProfile,
     WeightConfig,
-    equal_weight_config,
     validate_weight_config,
 )
 from stride.sampling import (
@@ -90,7 +87,7 @@ from stride.scoring import (
     trust_score,
 )
 
-HOSTILE = (math.nan, math.inf, -math.inf, 10**400, -(10**400), 1e308, -1e308, 0, -0.0)
+HOSTILE = (math.nan, math.inf, -math.inf, 10**400, -(10**400), 1e308, -1e308, 1e-320, -1e-320, 0, -0.0)
 PAIRS = 2000  # seeded pairs of fields per function, after every field alone
 
 COVERAGE = CoverageProfile(3, 10, 2, 8, frozenset({"global", "local"}), 5, 1)
@@ -259,13 +256,13 @@ def test_score_dataset_config_fields():
 
 @pytest.mark.parametrize("component", list(ComponentId), ids=lambda component: component.value)
 def test_component_score(component):
-    config = equal_weight_config()
-
+    # The first slots are the sub-score values in ``MetricId`` order, the rest a raw config's weights.
     def build(args: list) -> Callable[[], object]:
         subs = [SubScore(metric, value, True, "digest") for metric, value in zip(MetricId, args)]
+        config = _config(list(CONFIG_BASE[:4]) + args[len(MetricId) :])
         return lambda: component_score(component, subs, config)
 
-    _sweep((0.5,) * len(MetricId), build, seed=8)
+    _sweep((0.5,) * len(MetricId) + CONFIG_BASE[4:], build, seed=8)
 
 
 # ---------------------------------------------------------------------------

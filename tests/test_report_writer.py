@@ -1,9 +1,11 @@
 """Differential test of ``report_to_json`` against the stdlib's indented encoder.
 
-``report_to_json`` fills a layout that the stdlib encoder compiled once
-per sub-score count.  Every case here must match
-``json.dumps(report_to_dict(r), indent=2, sort_keys=True, allow_nan=False)``
-plus a newline byte for byte, or fail with the stdlib's own exception.
+``report_to_json`` fills a layout that the stdlib encoder rendered once,
+on first use, for the one report shape that scoring makes; any other
+report goes through the stdlib encoder itself.  Every case here must
+match ``json.dumps(report_to_dict(r), indent=2, sort_keys=True,
+allow_nan=False)`` plus a newline byte for byte, or fail with the
+stdlib's own exception.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def seeded_reports():
 
 
 @pytest.fixture
-def fresh_layouts(monkeypatch):
-    """An empty layout cache, so a test compiles its own layouts."""
-    monkeypatch.setattr(io, "_REPORT_LAYOUTS", {})
+def fresh_layout(monkeypatch):
+    """No layout yet, so a test renders its own."""
+    monkeypatch.setattr(io, "_report_layout", "")
 
 
 def test_seeded_reports_match_the_stdlib(seeded_reports):
@@ -61,16 +63,36 @@ def test_seeded_reports_match_the_stdlib(seeded_reports):
         assert report_to_json(report) == stdlib_json(report)
 
 
-def test_reloaded_reports_with_shuffled_sub_scores_match_the_stdlib(seeded_reports):
+def _reloaded_with_shuffled_sub_scores(reports: list) -> list:
     rng = random.Random(8)
-    for report in seeded_reports:
+    reloaded = []
+    for report in reports:
         document = report_to_dict(report)
         rng.shuffle(document["sub_scores"])
-        reloaded = report_from_dict(document)
-        assert [sub["metric_id"] for sub in report_to_dict(reloaded)["sub_scores"]] == [
+        reloaded.append(report_from_dict(document))
+        assert [sub["metric_id"] for sub in report_to_dict(reloaded[-1])["sub_scores"]] == [
             sub["metric_id"] for sub in document["sub_scores"]
         ]
+    return reloaded
+
+
+def test_reloaded_reports_with_shuffled_sub_scores_match_the_stdlib(seeded_reports):
+    for reloaded in _reloaded_with_shuffled_sub_scores(seeded_reports):
         assert report_to_json(reloaded) == stdlib_json(reloaded)
+
+
+def test_scored_and_reloaded_reports_take_the_layout(seeded_reports, monkeypatch):
+    # A change that sent every report to the stdlib encoder would still match
+    # it byte for byte; with that path raising, only the layout can render.
+    reports = [*seeded_reports, *_reloaded_with_shuffled_sub_scores(seeded_reports)]
+    expected = [stdlib_json(report) for report in reports]
+    report_to_json(reports[0])  # renders the layout, through the stdlib encoder, if no test has yet
+
+    def refuse(document):
+        raise AssertionError("report went to the stdlib encoder")
+
+    monkeypatch.setattr(io, "_indented_json", refuse)
+    assert [report_to_json(report) for report in reports] == expected
 
 
 @pytest.mark.parametrize(
@@ -85,7 +107,7 @@ def test_reloaded_reports_with_shuffled_sub_scores_match_the_stdlib(seeded_repor
     ],
     ids=["mixed", "percent", "slots", "placeholder", "escaped-placeholder", "empty"],
 )
-def test_escaped_manifest_digest_matches_the_stdlib(seeded_reports, fresh_layouts, digest):
+def test_escaped_manifest_digest_matches_the_stdlib(seeded_reports, fresh_layout, digest):
     for report in seeded_reports[:3]:
         escaped = dataclasses.replace(report, manifest_digest=digest)
         assert report_to_json(escaped) == stdlib_json(escaped)
@@ -93,21 +115,29 @@ def test_escaped_manifest_digest_matches_the_stdlib(seeded_reports, fresh_layout
 
 
 @pytest.mark.parametrize("count", [13, 12, 1, 0])
-def test_sub_score_counts_each_get_their_layout(seeded_reports, fresh_layouts, count):
+def test_only_thirteen_sub_scores_render_the_layout(seeded_reports, fresh_layout, count):
     for report in seeded_reports[:4]:
         cut = dataclasses.replace(report, sub_scores=report.sub_scores[:count])
         assert report_to_json(cut) == stdlib_json(cut)
-    assert set(io._REPORT_LAYOUTS) == {count}
+    assert bool(io._report_layout) == (count == 13)
 
 
-def test_counts_interleaved_match_the_stdlib(seeded_reports, fresh_layouts):
+@pytest.mark.parametrize("alpha", [(0.5, 0.5, 0.0), (0.25,) * 5], ids=["three", "five"])
+def test_alpha_of_another_length_goes_to_the_stdlib(seeded_reports, fresh_layout, alpha):
+    for report in seeded_reports[:2]:
+        odd = dataclasses.replace(report, config_snapshot=dataclasses.replace(report.config_snapshot, alpha=alpha))
+        assert report_to_json(odd) == stdlib_json(odd)
+        assert report_to_json(report) == stdlib_json(report)
+
+
+def test_counts_interleaved_match_the_stdlib(seeded_reports, fresh_layout):
     rng = random.Random(3)
     for report in seeded_reports[:40]:
         cut = dataclasses.replace(report, sub_scores=report.sub_scores[: rng.choice([0, 12, 13])])
         assert report_to_json(cut) == stdlib_json(cut)
 
 
-def test_int_bool_and_str_subclass_leaves_match_the_stdlib(seeded_reports, fresh_layouts):
+def test_int_bool_and_str_subclass_leaves_match_the_stdlib(seeded_reports, fresh_layout):
     report = seeded_reports[0]
     first = report.sub_scores[0]
     unusual = dataclasses.replace(
@@ -173,55 +203,25 @@ def test_leaf_that_is_not_a_json_scalar_goes_to_the_stdlib(seeded_reports, leaf)
     assert report_to_json(report) == stdlib_json(report)
 
 
-def test_layout_compiled_from_an_odd_report_still_renders_plain_ones(seeded_reports, fresh_layouts):
+def test_layout_compiled_from_an_odd_report_still_renders_plain_ones(seeded_reports, fresh_layout):
     report = seeded_reports[3]
     for leaf in (["a", "b"], {"k": "v"}, ("t",)):
-        io._REPORT_LAYOUTS.clear()
+        io._report_layout = ""
         odd = dataclasses.replace(report, manifest_digest=leaf)
         assert report_to_json(odd) == stdlib_json(odd)
         assert report_to_json(report) == stdlib_json(report)
 
 
-def test_keys_holding_percent_signs_are_escaped(seeded_reports, fresh_layouts, monkeypatch):
-    # report_to_dict is the only statement of the shape; one with odd keys must still render exactly.
-    plain = io.report_to_dict
-
-    def with_percent_keys(report):
-        document = plain(report)
-        document.update({"100%": report.trust, "%s": "x", "%(trust)s": None, "%%": True, "a%d": [1, "%"]})
-        document["config"]["%"] = {"%s%s": 0.5}
-        return document
-
-    monkeypatch.setattr(io, "report_to_dict", with_percent_keys)
-    for report in seeded_reports[:5]:
-        expected = json.dumps(with_percent_keys(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        assert report_to_json(report) == expected
-
-
-def test_key_spelling_a_placeholder_falls_back_to_the_stdlib(seeded_reports, fresh_layouts, monkeypatch):
-    plain = io.report_to_dict
-
-    def with_placeholder_key(report):
-        document = plain(report)
-        document["\x000"] = "first"
-        return document
-
-    monkeypatch.setattr(io, "report_to_dict", with_placeholder_key)
-    for report in seeded_reports[:3]:
-        expected = json.dumps(with_placeholder_key(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        assert report_to_json(report) == expected
-
-
 def test_layout_is_built_on_first_use():
     probe = (
         "import stride.io as io; from stride.fixtures import fixture_text; from stride.scoring import score_dataset; "
-        "empty = io._REPORT_LAYOUTS == {}; "
+        "empty = io._report_layout == ''; "
         "io.report_to_json(score_dataset(io.parse_manifest(fixture_text('luxshare_manifest.json')), "
         "io.parse_weight_config('equal'))); "
-        "print(empty, sorted(io._REPORT_LAYOUTS))"
+        "print(empty, io._report_layout.count('%s'))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, encoding="utf-8", env=env, check=True
     )
-    assert result.stdout == "True [13]\n"
+    assert result.stdout == "True 89\n"

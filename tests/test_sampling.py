@@ -433,6 +433,9 @@ class TestSelection:
 
 
 # The four entry points, each on one criterion, with ``bins`` and ``seed`` given.
+HUGE = 10**5000  # past the interpreter's int-to-string limit of 4300 digits
+TOO_LONG = "<an integer of more than 4300 digits>"
+
 SEEDED_OR_BINNED = {
     "distribution": lambda records, criterion, bins, seed: categorical_distribution(records, criterion, bins),
     "curve": lambda records, criterion, bins, seed: saturation_curve(records, criterion, [5], seed, bins),
@@ -472,6 +475,49 @@ class TestNumericArguments:
         with pytest.raises(SchemaError) as caught:
             SEEDED_OR_BINNED[caller](industry_population, "industry", 10**400, 0)
         assert str(caught.value) == "bins must be at most 1000"
+
+    @pytest.mark.parametrize(
+        ("call", "error", "message"),
+        [
+            (
+                lambda records: saturation_curve(records, "industry", [5, 121], 0),
+                ComputationError,
+                "sample size 121 outside [1, 120]",
+            ),
+            (
+                lambda records: saturation_curve(records, "industry", [5, HUGE], 0),
+                ComputationError,
+                f"sample size {TOO_LONG} outside [1, 120]",
+            ),
+            (
+                lambda records: select_representative_sample(records, 121, ["industry"], 0),
+                ComputationError,
+                "k must be in [1, 120], got 121",
+            ),
+            (
+                lambda records: select_representative_sample(records, HUGE, ["industry"], 0),
+                ComputationError,
+                f"k must be in [1, 120], got {TOO_LONG}",
+            ),
+            (
+                lambda records: select_representative_sample(records, 5, ["industry"], 0, max_swaps=-1),
+                SchemaError,
+                "max_swaps must be >= 0, got -1",
+            ),
+            (
+                lambda records: select_representative_sample(records, 5, ["industry"], 0, max_swaps=-HUGE),
+                SchemaError,
+                f"max_swaps must be >= 0, got {TOO_LONG}",
+            ),
+        ],
+        ids=["size", "huge-size", "k", "huge-k", "max-swaps", "huge-max-swaps"],
+    )
+    def test_an_out_of_range_int_is_named_in_the_message(self, industry_population, call, error, message):
+        # An int too long for str() raised ValueError while its message was written.
+        with pytest.raises(error) as caught:
+            call(industry_population)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("shares", [[1e308, -1e308], [1e308, 1e308, -1e308]], ids=["square", "sum"])
     def test_a_spread_beyond_float_range_is_refused(self, shares):

@@ -599,3 +599,82 @@ class TestOverflowFromFiniteFields:
         with pytest.raises(ComputationError) as caught:
             call()
         assert str(caught.value) == message
+
+
+class TestTinyDivisors:
+    """A subnormal divisor takes a finite ratio past float range; each metric refuses it, naming the ratio."""
+
+    @pytest.mark.parametrize(
+        ("call", "ratio"),
+        [
+            (lambda: statistical_methodology(-1e308, 1e-320, 0.1), "sample_size / saturation_threshold"),
+            (
+                lambda: ground_truth(AnnotationStats(0.5, -1e308, 1e-320, 0.1, 0.1)),
+                "annotation.mean_tenure_years / annotation.tenure_cap_years",
+            ),
+            (lambda: security_safety(SafetyAudit(1e308, 1e-320)), "safety.harmful_rows / safety.total_rows"),
+            (
+                lambda: human_governed(_governance(interventions=1, governed_cases=1e-320)),
+                "governance.interventions / governance.governed_cases",
+            ),
+            (
+                lambda: transparency(_governance(assumptions_disclosed=-1e308, assumptions_required=1e-320)),
+                "governance.assumptions_disclosed / governance.assumptions_required",
+            ),
+            (
+                lambda: role_separation(_governance(role_relations_separated=1e10, role_relations_total=1e-320)),
+                "governance.role_relations_separated / governance.role_relations_total",
+            ),
+        ],
+        ids=[
+            "statistical_methodology",
+            "ground_truth",
+            "security_safety",
+            "human_governed",
+            "transparency",
+            "role_separation",
+        ],
+    )
+    def test_ratio_beyond_float_range_is_refused(self, call, ratio):
+        with pytest.raises(ComputationError) as caught:
+            call()
+        assert str(caught.value) == f"{ratio} is beyond float range"
+
+    def test_a_ratio_past_one_still_saturates(self):
+        assert statistical_methodology(1e308, 1e-320, 0.1) == 0.5 + 0.5 * 0.9
+        assert ground_truth(AnnotationStats(0.0, 1e308, 1e-320, 0.0, 0.0)) == 0.25
+
+
+class TestUnvalidatedWeights:
+    """``component_score`` takes a config as built, so it refuses weights that make no finite total."""
+
+    @staticmethod
+    def _config(**weights: float) -> WeightConfig:
+        return WeightConfig(
+            alpha=(0.25,) * 4,
+            weights={metric: weights.get(metric.name, 1.0) for metric in MetricId},
+            applicability={metric: True for metric in MetricId},
+        )
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"INCLUSIVENESS_MATERIALITY": math.nan},
+            {"EXEMPLARY_REFERENCE": math.inf},
+            {"TIME_RELEVANCE": -(10**400)},
+            {"INCLUSIVENESS_MATERIALITY": 1e308, "TIME_RELEVANCE": 1e308},
+        ],
+        ids=["nan", "inf", "huge-int", "overflowing-sum"],
+    )
+    def test_weights_without_a_finite_sum_are_refused(self, weights):
+        subs = [SubScore(metric, 0.5, True, "digest") for metric in MetricId]
+        with pytest.raises(ComputationError) as caught:
+            component_score(ComponentId.CREDIBILITY, subs, self._config(**weights))
+        assert str(caught.value) == "component C: applicable weights do not sum to a finite number"
+
+    def test_weights_that_renormalise_past_float_range_are_refused(self):
+        subs = [SubScore(metric, 0.5, True, "digest") for metric in MetricId]
+        config = self._config(INCLUSIVENESS_MATERIALITY=1e308, EXEMPLARY_REFERENCE=-1e308, TIME_RELEVANCE=0.5)
+        with pytest.raises(ComputationError) as caught:
+            component_score(ComponentId.CREDIBILITY, subs, config)
+        assert str(caught.value) == "component C: weighted sub-scores add up past float range"
