@@ -103,21 +103,29 @@ def _finite_float(text: str) -> float:
     return number
 
 
+def _literal_error(exc: ValueError, text: str) -> json.JSONDecodeError:
+    """``exc`` from ``json.loads(text)``, placed at the literal it was raised for.
+
+    That is a NaN or infinity literal, or an integer too long for ``int()``, and the parser does not say
+    where.  Strings skipped, the first such literal is the one it met: a constant, or a number's integer
+    part with nothing after it.
+    """
+    limit = sys.get_int_max_str_digits()
+    for literal in re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)|-?(\d+)([.eE][-+\d.eE]*)?', text):
+        constant, digits, rest = literal.groups()
+        if constant or digits and not rest and len(digits) > limit > 0:
+            break
+    message = str(exc) if constant else f"integer of {len(digits)} digits is out of float range"
+    return json.JSONDecodeError(message, text, literal.start())
+
+
 def _load_json(text: str) -> object:
     try:
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         error = exc
     except ValueError as exc:  # a NaN or infinity literal, or an integer too long for int()
-        # The parser does not say where.  Strings skipped, the first such literal is the one it met:
-        # a constant, or a number's integer part with nothing after it.
-        limit = sys.get_int_max_str_digits()
-        for literal in re.finditer(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)|-?(\d+)([.eE][-+\d.eE]*)?', text):
-            constant, digits, rest = literal.groups()
-            if constant or digits and not rest and len(digits) > limit > 0:
-                break
-        message = str(exc) if constant else f"integer of {len(digits)} digits is out of float range"
-        error = json.JSONDecodeError(message, text, literal.start())
+        error = _literal_error(exc, text)
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     raise SchemaError(f"invalid JSON at line {error.lineno}, column {error.colno}: {error.msg}")

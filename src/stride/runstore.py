@@ -55,7 +55,7 @@ from typing import BinaryIO
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError, StoreError
-from .io import _finite_float, _refuse_constant, report_from_dict, report_to_dict
+from .io import _finite_float, _literal_error, _NonFiniteLiteral, _refuse_constant, report_from_dict, report_to_dict
 from .model import StrideReport
 from .scoring import _components_and_trust
 
@@ -220,7 +220,12 @@ def _read_record(handle: BinaryIO) -> tuple[dict, str]:
             text = handle.readall().decode("utf-8")
         if "\r" in text:  # as reading in text mode translates newlines
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        raw = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
+        try:
+            raw = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
+        except (json.JSONDecodeError, _NonFiniteLiteral):
+            raise
+        except ValueError as exc:  # an integer too long for int(), which the parser does not place
+            raise _literal_error(exc, text) from None
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
         raise StoreError(f"cannot read run record {name}: {exc}") from None
     if not isinstance(raw, dict):

@@ -8,11 +8,15 @@ list are compared with the Jensen-Shannon divergence in base 2, which
 lives in [0, 1].
 
 Each call reads and bins a criterion's column once, then works on the
-records' category indices.  The saturation curve draws positions in
-that index list, so its draws are those of drawing the records.  It
-draws them itself and makes exactly the draws of
-``random.Random(seed).sample`` per size, so the algorithm is pinned
-here: a change to the stdlib's ``sample`` cannot silently move a curve.
+records' category indices.  Numeric breakpoints are the inclusive
+quantiles, computed by the stdlib's own steps without importing
+``statistics``.
+
+The saturation curve draws positions in that index list, so its draws
+are those of drawing the records.  It draws them itself and makes
+exactly the draws of ``random.Random(seed).sample`` per size, so the
+algorithm is pinned here: a change to the stdlib's ``sample`` cannot
+silently move a curve.
 The generator's 32-bit outputs come in batches, each cut from one big
 integer and shifted to the draw's bit width in bulk, so the Python loop
 per output is one comparison; a batch is never longer than the draws
@@ -20,6 +24,11 @@ still missing, so no output is read that ``sample`` would not read.
 A last size equal to the population is not drawn: that sample is the
 population, so its point is ``0.0``, and no later size reads the
 generator.
+
+The swap search codes each record's categories on a criterion as one
+small int, keeps each criterion's divergence terms until a swap changes
+its counts, and stops a trial once its partial sum can no longer
+improve, so its result is that of trying every swap in full.
 
 Everything here is a pure function of its inputs plus, where sampling
 is involved, a caller-supplied seed.  Two calls with the same arguments
@@ -34,7 +43,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-import statistics
 import sys
 from array import array
 from collections import Counter
@@ -181,14 +189,27 @@ def _bin_column(records: Sequence[PopulationRecord], criterion: str, bins: int) 
             values = [math.inf]
         if not all(map(math.isfinite, values)):
             raise SchemaError(f"criterion {criterion!r}: numeric values must be finite (no NaN or infinity)")
-        if len(values) >= 2:
-            breakpoints = tuple(statistics.quantiles(values, n=bins, method="inclusive"))
-        else:
-            breakpoints = ()
+        breakpoints = _inclusive_quantiles(values, bins) if len(values) >= 2 else ()
         width = len(str(len(breakpoints) + 1))
         categories = tuple(f"bin{i + 1:0{width}d}" for i in range(len(breakpoints) + 1))
         binning = _Binning("numeric", categories, breakpoints)
     return binning, _indices(values, criterion, binning)
+
+
+def _inclusive_quantiles(values: Sequence[float], n: int) -> tuple[float, ...]:
+    """``statistics.quantiles(values, n=n, method="inclusive")`` for two values or more.
+
+    The stdlib's steps, the same from Python 3.10 to 3.13, so the cut
+    points are the same floats, without importing ``statistics``, which
+    takes longer than most calls here.
+    """
+    data = sorted(values)
+    m = len(data) - 1
+    cuts = []
+    for i in range(1, n):
+        j, delta = divmod(i * m, n)
+        cuts.append((data[j] * (n - delta) + data[j + 1] * delta) / n)
+    return tuple(cuts)
 
 
 def _indices(values: Sequence[object], criterion: str, binning: _Binning) -> list:
@@ -541,11 +562,19 @@ def select_representative_sample(
     >= 0).  The result never has a higher deviation than the starting
     subset.
 
-    A record's signature is its tuple of category indices over
-    ``criteria``; a trial's deviation depends only on the member's and
-    the candidate's signatures.  So within one scan, records with equal
-    signatures are tried once, by lowest index, and a candidate with the
-    member's own signature is not tried.  This does not change the
+    A record's signature is its tuple of codes over ``criteria``: the
+    category index on a categorical or numeric criterion, and on a
+    multilabel one a code for its tuple of mentions.  A trial's deviation
+    depends only on the member's and the candidate's signatures and the
+    subset's counts, so within one scan records with equal signatures are
+    tried once, by lowest index.  A criterion's terms are kept until a
+    swap changes its counts, that is, until a member and a candidate with
+    different codes on it are swapped.
+
+    A trial adds its criteria's terms in order and stops once the partial
+    sum reaches the improvement threshold.  Every term is at least 0, and
+    adding a number at least 0 to a float never lowers it, so the full sum
+    could not have fallen below the threshold.  None of this changes the
     result: the skipped trials could not have been the first to improve.
     """
     n = len(population)
@@ -568,10 +597,19 @@ def select_representative_sample(
         _distribution_of(indices, criterion, binning).probabilities
         for criterion, (binning, indices) in zip(criteria, columns)
     ]
-    # The search counts per mention, so a single index becomes a 1-tuple.
-    signatures = list(
-        zip(*(indices if binning.kind == "multilabel" else [(i,) for i in indices] for binning, indices in columns))
-    )
+    # A record's code on a criterion is its bin index, or on a multilabel one
+    # the code of its mention tuple; mentions[c][code] is the indices it counts.
+    mentions: list[list[tuple[int, ...]]] = []
+    codes = []
+    for binning, indices in columns:
+        if binning.kind == "multilabel":
+            coded: dict[tuple[int, ...], int] = {}
+            codes.append([coded.setdefault(mention, len(coded)) for mention in indices])
+            mentions.append(list(coded))
+        else:
+            codes.append(indices)
+            mentions.append([(index,) for index in range(len(binning.categories))])
+    signatures = list(zip(*codes))
 
     slices = range(len(criteria))
     counts = [[0] * len(binning.categories) for binning, _ in columns]
@@ -580,11 +618,12 @@ def select_representative_sample(
     # nothing else, so the memo is kept across scans and filled as trials meet it.
     bin_terms: list[dict[int, list[dict[int, float]]]] = [{} for _ in slices]
 
-    def move(signature: tuple[tuple[int, ...], ...], sign: int) -> None:
+    def move(signature: tuple[int, ...], sign: int) -> None:
         for c in slices:
-            for index in signature[c]:
+            mentioned = mentions[c][signature[c]]
+            for index in mentioned:
                 counts[c][index] += sign
-            totals[c] += sign * len(signature[c])
+            totals[c] += sign * len(mentioned)
 
     def term(c: int, removed: tuple[int, ...], added: tuple[int, ...]) -> float:
         # JSD of criterion ``c`` once ``removed`` leaves the subset and ``added`` joins it.
@@ -621,15 +660,15 @@ def select_representative_sample(
     initial = current
     swap_budget = 10 * k if max_swaps is None else max_swaps
     swaps = 0
+    # A term depends only on (criterion, member code, candidate code) while
+    # the criterion's counts stay fixed: memo[c][member code][candidate code].
+    # A swap changes the counts only of criteria on which the two codes differ.
+    memo: list[dict[int, dict[int, float]]] = [{} for _ in slices]
     improved = True
     while swaps < swap_budget and improved:
         improved = False
         threshold = current - _IMPROVEMENT_EPS
-        # Counts stay fixed until a swap, so for this whole scan a term
-        # depends only on (criterion, member cats, candidate cats):
-        # memo[c][member cats][candidate cats].
-        memo: list[dict[tuple[int, ...], dict[tuple[int, ...], float]]] = [{} for _ in slices]
-        candidates: dict[tuple[tuple[int, ...], ...], int] = {}
+        candidates: dict[tuple[int, ...], int] = {}
         for index in range(n):
             if index not in chosen:
                 candidates.setdefault(signatures[index], index)
@@ -642,17 +681,20 @@ def select_representative_sample(
             # A criterion on which member and candidate agree keeps its term.
             rows = [memo[c].setdefault(member_sig[c], {member_sig[c]: terms[c]}) for c in slices]
             for candidate_sig, candidate in candidates.items():
-                if candidate_sig == member_sig:
-                    continue  # counts unchanged: the trial equals current
                 trial = 0.0
                 for c in slices:
                     added = candidate_sig[c]
                     value = rows[c].get(added)
                     if value is None:
-                        value = rows[c][added] = term(c, member_sig[c], added)
+                        value = rows[c][added] = term(c, mentions[c][member_sig[c]], mentions[c][added])
                     trial += value
-                if trial < threshold:
-                    terms = [rows[c][candidate_sig[c]] for c in slices]
+                    if trial >= threshold:
+                        break  # the terms still to come are >= 0: the trial cannot improve
+                else:
+                    for c in slices:
+                        if member_sig[c] != candidate_sig[c]:
+                            terms[c] = rows[c][candidate_sig[c]]
+                            memo[c] = {}
                     move(member_sig, -1)
                     move(candidate_sig, +1)
                     chosen.remove(member)

@@ -713,3 +713,20 @@ class TestOverlongIntegerLiterals:
         assert captured.err == (
             f"error: invalid JSON at line {line}, column {column}: integer of 5000 digits is out of float range\n"
         )
+
+    def test_stored_record_exits_3_with_line_and_column(self, store, manifest_file, capsys):
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        text = path.read_text(encoding="utf-8").replace('"trust":', f'"big":{self.LITERAL},"trust":')
+        path.write_text(text, encoding="utf-8")
+        assert main(["explain", "--run", run_id]) == 3
+        captured = capsys.readouterr()
+        start = text.index(self.LITERAL)
+        line = text.count("\n", 0, start) + 1
+        column = start - text.rfind("\n", 0, start)
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read run record {run_id}.json: integer of 5000 digits is out of float range:"
+            f" line {line} column {column} (char {start})\n"
+        )

@@ -4,11 +4,12 @@ Each case starts from a valid argument set and puts hostile numbers into
 one or two of its number fields: NaN, the infinities, the ints
 ``±10**400`` (beyond float range), ``±1e308``, the subnormal divisors
 ``±1e-320``, ``0`` and ``-0.0``.
-Every field is tried alone with every value, and fixed-seed pairs of
-fields follow.  Whatever a function makes of its input, only a
-:class:`~stride.errors.StrideError` may escape, no number it returns may
-be non-finite or beyond float range, and any trust it returns lies
-strictly inside (0, 1).
+Every field is tried alone with every value, then pairs of fields:
+every pair with every pair of values where that makes at most ``PAIRS``
+cases, and fixed-seed samples of pairs where it makes more.  Whatever a
+function makes of its input, only a :class:`~stride.errors.StrideError`
+may escape, no number it returns may be non-finite or beyond float
+range, and any trust it returns lies strictly inside (0, 1).
 
 ``component_score`` takes an unvalidated config, so its weights are
 fuzzed raw, beside its sub-score values.  Left out, for a later fuzzer:
@@ -21,6 +22,7 @@ import math
 import random
 from dataclasses import fields, is_dataclass, replace
 from datetime import date
+from itertools import combinations, product
 from typing import Callable, Iterator, Mapping
 
 import pytest
@@ -155,11 +157,20 @@ def _fault(call: Callable[[], object], trust: bool = False) -> str | None:
 
 
 def _cases(slots: int, rng: random.Random) -> Iterator[dict[int, object]]:
-    """Each slot alone with each hostile value, then ``PAIRS`` seeded pairs of slots."""
+    """Each slot alone with each hostile value, then pairs of slots.
+
+    Where every pair of slots with every pair of values fits within
+    ``PAIRS`` cases, that whole cross product is tried; otherwise
+    ``PAIRS`` seeded pairs.
+    """
     for slot in range(slots):
         for value in HOSTILE:
             yield {slot: value}
-    if slots > 1:
+    pairs = list(combinations(range(slots), 2))
+    if len(pairs) * len(HOSTILE) ** 2 <= PAIRS:
+        for (first, second), (one, other) in product(pairs, product(HOSTILE, repeat=2)):
+            yield {first: one, second: other}
+    else:
         for _ in range(PAIRS):
             first, second = rng.sample(range(slots), 2)
             yield {first: rng.choice(HOSTILE), second: rng.choice(HOSTILE)}

@@ -8,6 +8,7 @@ must return the same fields, with floats equal down to their ``repr``.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -162,6 +163,78 @@ class TestSelectionMatchesOracle:
         tag_lists = {record.criteria["tags"] for record in population}
         assert ("x", "y") in tag_lists and ("y", "x") in tag_lists
         assert () in tag_lists
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4, 7, 10, 99, 1000])
+def test_breakpoints_are_the_stdlib_quantiles(bins):
+    # The engine takes the inclusive quantiles itself; the oracle calls statistics.quantiles.
+    rng = random.Random(bins)
+    for n in (2, 3, 5, 11, 150):
+        for values in (
+            [round(rng.lognormvariate(2.0, 0.9), 3) for _ in range(n)],
+            [rng.uniform(-1e300, 1e300) for _ in range(n)],
+            [rng.choice((0, 1, 2**60, -7)) for _ in range(n)],
+            [rng.choice((0.1, 0.2, 0.3)) for _ in range(n)],
+        ):
+            population = [PopulationRecord(f"r{i}", {"size": value}) for i, value in enumerate(values)]
+            expected = oracle._build_binning(population, "size", bins).breakpoints
+            assert list(map(repr, sampling._bin_column(population, "size", bins)[0].breakpoints)) == list(
+                map(repr, expected)
+            )
+
+
+def _same_selection_as_oracle(population, k, criteria, seed, bins=10, max_swaps=None):
+    args = (population, k, criteria, seed, bins)
+    _assert_same_selection(
+        select_representative_sample(*args, max_swaps=max_swaps),
+        oracle.select_representative_sample(*args, max_swaps=max_swaps),
+    )
+
+
+class TestSearchShortcutsMatchOracle:
+    """Cases aimed at what the search skips.
+
+    A trial stops once its partial sum, taken in criterion order, can no
+    longer improve; a criterion's terms are kept across a swap that leaves
+    its counts alone; and a multilabel criterion codes each mention tuple.
+    """
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_every_criterion_order(self, shared):
+        population = _population(31, 40, shared)
+        for criteria in permutations(ALL_CRITERIA):
+            _same_selection_as_oracle(population, 6, criteria, 7)
+
+    @pytest.mark.parametrize("value", ["same", True, 3.5, ("only",)], ids=["label", "boolean", "number", "labels"])
+    def test_a_criterion_with_one_category(self, value):
+        # Every swap leaves this criterion's counts, and its term, as they were.
+        population = [
+            PopulationRecord(record.record_id, {**record.criteria, "const": value})
+            for record in _population(32, 40, False)
+        ]
+        for criteria in (("const",), ("const", "kind"), ("size", "const", "tags"), (*ALL_CRITERIA, "const")):
+            for seed in range(3):
+                _same_selection_as_oracle(population, 6, criteria, seed)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_label_sets_listed_in_both_orders(self, shared):
+        # ("x", "y") and ("y", "x") are coded apart but count the same.
+        population = _population(33, 40, shared, empty_tags=False)
+        tag_lists = {record.criteria["tags"] for record in population}
+        assert any(tags[::-1] in tag_lists for tags in tag_lists if len(tags) == 2)
+        for criteria in (("tags",), ("tags", "kind"), ("flag", "tags"), ("tags", "size", "flag")):
+            for seed in range(4):
+                _same_selection_as_oracle(population, 7, criteria, seed)
+
+    @pytest.mark.parametrize("max_swaps", [0, 1, 2, None])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_short_budgets_and_extreme_sizes(self, max_swaps, shared):
+        population = _population(34, 24, shared)
+        n = len(population)
+        for k in (1, n - 1, n):
+            for seed in range(3):
+                _same_selection_as_oracle(population, k, ALL_CRITERIA, seed, max_swaps=max_swaps)
+                _same_selection_as_oracle(population, k, ("tags", "kind"), seed, 3, max_swaps)
 
 
 class TestCurveMatchesOracle:
