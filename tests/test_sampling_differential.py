@@ -177,10 +177,9 @@ def test_breakpoints_are_the_stdlib_quantiles(bins):
             [rng.choice((0.1, 0.2, 0.3)) for _ in range(n)],
         ):
             population = [PopulationRecord(f"r{i}", {"size": value}) for i, value in enumerate(values)]
+            breakpoints = sampling._bin_column(population, "size", bins)[0].breakpoints
             expected = oracle._build_binning(population, "size", bins).breakpoints
-            assert list(map(repr, sampling._bin_column(population, "size", bins)[0].breakpoints)) == list(
-                map(repr, expected)
-            )
+            assert list(map(repr, breakpoints)) == list(map(repr, expected))
 
 
 def _same_selection_as_oracle(population, k, criteria, seed, bins=10, max_swaps=None):
