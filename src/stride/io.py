@@ -13,14 +13,18 @@ indented encoder rendered once, on first use, from the same function;
 its bytes are those of that encoder.
 
 One table codec reads manifests, weight configs, reports, rating records
-and annotations: :func:`_walk` reads an object through a table of its
-keys and their decoders, and refuses a missing field and an unknown key
-alike.  A dataclass's table comes from its fields, once, so a field is
-declared in one place only; an object keyed by an enum (``alpha``, a
+and annotations.  A dataclass's table comes from its fields, so a field
+is declared in one place only; an object keyed by an enum (``alpha``, a
 weight group, ``component_scores``) has one entry per ``(member, code)``
-pair.  The manifest's range rules are declared on the same fields and
-checked by :func:`stride.model.validate_manifest`.  What stays
-hand-written is what a table of keys and types cannot say: the
+pair.  Each table is built on first use, never at import, into one
+decoder (:func:`_table_decoder`), and each manifest section into one
+encoder (:func:`_encoder`).  A decoder takes a field's common value
+inline and hands any other to the field type's checks, which convert it
+or refuse it with the message that names its path; it refuses a missing
+field and an unknown key alike.  The manifest's range rules are declared
+on the same fields and checked by
+:func:`stride.model.validate_manifest`.  What stays hand-written is what
+a table of keys and types cannot say: the
 ``spec_version`` value, a sub-score's ``value`` (null exactly when not
 applicable), duplicate and missing sub-scores, the trust range, the
 partial ``applicability`` map, and an interval's number-or-pair form.
@@ -46,9 +50,8 @@ import math
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import is_dataclass
+from dataclasses import MISSING, is_dataclass
 from datetime import date
-from functools import cache
 from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
 from .errors import SchemaError, _is_finite
@@ -63,7 +66,11 @@ from .model import (
     SubScore,
     Violation,
     WeightConfig,
+    _compiled,
     _field_plan,
+    _HI,
+    _LO,
+    _prefix,
     equal_weight_config,
     validate_manifest,
     validate_weight_config,
@@ -188,39 +195,180 @@ def _as_date(value: object, path: str) -> date:
 # ---------------------------------------------------------------------------
 # The table codec
 # ---------------------------------------------------------------------------
+#
+# A table entry: (document key, field name, type, decoder, nullable, may be
+# absent, default, position in the class).  A dataclass field ``X | None``
+# is absent-or-null; one whose metadata marks it omittable may be left out
+# and takes its default; its ``key`` metadata names it in documents; every
+# other field is required.
+#
+# Each table is built on first use into one decoder, compiled from source
+# with a line per field, and each dataclass's fields into one encoder,
+# compiled from an expression per field; a map keyed by an enum and an
+# array are loops in closures.  A decoder takes the common value of a
+# field of a plain type inline: a string, a bool, or an int or float within
+# float range, of exactly that type.  Any other value goes to the field's
+# reader, which takes an enum code, decodes a section, or hands the value
+# to the type's decoder, which converts it or raises the message that
+# names its path.  A table decoder is called as ``decode(value, where,
+# index=None)`` with the object's place (see :func:`stride.model._prefix`),
+# so that a valid object builds no path for its fields; every other
+# decoder is called as ``decode(value, path)``.
 
 
-# A table entry: (document key, field name, decoder, encoder, nullable, may
-# be absent).  A dataclass field ``X | None`` is absent-or-null; one whose
-# metadata marks it omittable may be left out and takes its default; its
-# ``key`` metadata names it in documents; every other field is required.
+# Types taken inline, each with whether it must also lie within float range.
+_PLAIN = {str: False, bool: False, int: True, float: True}
 
 
-def _walk(table: list, value: object, path: str, prefix: str) -> dict:
-    """One object's fields by name; ``path`` names the object, ``prefix`` starts its fields' paths."""
-    obj = _obj(value, path)
-    fields = {}
-    for key, name, decode, _, nullable, omittable in table:
-        if key in obj:
-            item = obj[key]
-            fields[name] = None if nullable and item is None else decode(item, prefix + key)
-        elif not omittable:
-            raise SchemaError(f"{path}.{key}: missing required field")
-    if len(obj) > len(fields):  # each field read is one key
-        known = {entry[0] for entry in table}
-        extras = ", ".join(sorted(key for key in obj if key not in known))
-        raise SchemaError(f"{path}: unknown field(s) {extras}")
-    return fields
+def _unknown(obj: dict, known: frozenset, path: str) -> None:
+    extras = ", ".join(sorted(key for key in obj if key not in known))
+    raise SchemaError(f"{path}: unknown field(s) {extras}")
 
 
-def _keyed(pairs: tuple, decode_item: Callable) -> Callable:
-    """Decoder of an object with one required entry per ``(member, code)`` pair, keyed by member."""
-    table = [(code, member, decode_item, None, False, False) for member, code in pairs]
-    return lambda value, path: _walk(table, value, path, path + ".")
+def _reader(entry: tuple, root: str) -> Callable:
+    """``read(item, where, index)`` for a field's value that the inline test did not take.
+
+    ``item`` is ``_ABSENT`` when the key is missing.  An omittable field
+    then takes its default, and a nullable field takes a null as None;
+    any other value goes to the field's decoder.
+    """
+    key, _, _, decode, nullable, omittable, default, _ = entry
+
+    def read(item: object, where: str, index: int | None) -> object:
+        if item is _ABSENT:
+            if omittable:
+                return default
+            raise SchemaError(f"{_prefix(where, index)[:-1] or root}.{key}: missing required field")
+        if nullable and item is None:
+            return None
+        return item if decode is None else decode(item, _prefix(where, index) + key)
+
+    return read
 
 
-def _enum_code(enum: type, noun: str) -> Callable:
-    members = {member.value: member for member in enum}
+def _table_decoder(table: list, make: Callable, root: str = "") -> Callable:
+    """The decoder of an object with one field per entry of ``table``, read in table order.
+
+    A missing field and a refused value raise as they are met, and an
+    unknown key once every field is read.  The result is ``make(where,
+    index, fields)``, ``fields`` holding the values by field name in
+    declaration order.  ``root`` names the object in messages when it is
+    a document root, which is called with ``where`` empty.
+
+    The decoder is compiled from source with one line per field, which
+    tests the field's common value inline.  The source is kept short,
+    since compiling it is most of the cost of a first use: ``g`` gets a
+    key's value or ``A`` (absent), ``w`` and ``i`` are the place, ``L``
+    and ``H`` the bounds of float range, ``r<n>`` the readers and ``m<n>``
+    enum members by code.
+    """
+    namespace = {"A": _ABSENT, "L": _LO, "H": _HI, "_obj": _obj, "_prefix": _prefix, "_unknown": _unknown}
+    namespace.update(known=frozenset(entry[0] for entry in table), make=make)
+    path = f"_prefix(w, i)[:-1] or {root!r}"
+    lines = [
+        "def decode(value, w, i=None):",
+        f"    if type(value) is not dict: value = _obj(value, {path})",
+        "    g = value.get",
+    ]
+    for n, entry in enumerate(table):
+        key, _, tp, decode = entry[:4]
+        namespace[f"r{n}"] = _reader(entry, root)
+        if tp in _PLAIN and decode in (_PRIMITIVES[tp], None):  # where its decoder would keep it, or any value is kept
+            bounded = " and L <= x <= H" if _PLAIN[tp] else ""
+            lines.append(f"    v{n} = x if type(x := g({key!r}, A)) is {tp.__name__}{bounded} else r{n}(x, w, i)")
+        elif tp in _ENUMS and decode is not None:  # a code that names a member
+            namespace[f"m{n}"] = _ENUMS[tp][0]
+            lines.append(f"    v{n} = m{n}[x] if type(x := g({key!r}, A)) is str and x in m{n} else r{n}(x, w, i)")
+        else:
+            lines.append(f"    v{n} = r{n}(g({key!r}, A), w, i)")
+    required = sum(not entry[5] for entry in table)
+    lines.append(f"    if len(value) > {required} and not known.issuperset(value): _unknown(value, known, {path})")
+    declared = sorted(range(len(table)), key=lambda n: table[n][7])
+    lines.append(f"    return make(w, i, {{{', '.join(f'{table[n][1]!r}: v{n}' for n in declared)}}})")
+    return _compiled("decode", lines, namespace)
+
+
+def _instance(cls: type) -> Callable:
+    """``make`` for ``cls``'s table: a new instance whose fields hold what ``__init__`` would set.
+
+    A frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``; filling the instance's ``__dict__`` leaves the
+    same state in a third of the time.
+    """
+    new = object.__new__
+
+    def make(where: str, index: int | None, fields: dict) -> object:
+        obj = new(cls)
+        obj.__dict__.update(fields)
+        return obj
+
+    return make
+
+
+def _keyed_decoder(pairs: tuple, tp: object) -> Callable:
+    """Decoder of an object with one required entry of type ``tp`` per ``(member, code)`` pair, keyed by member.
+
+    A loop over the pairs, which takes a plain value inline as a table decoder does.
+    """
+    decode_item = _decoder(tp)
+    plain, bounded = (tp, _PLAIN[tp]) if tp in _PLAIN else (None, False)
+    known = frozenset(code for _, code in pairs)
+
+    def decode(value: object, path: str) -> dict:
+        if type(value) is not dict:
+            value = _obj(value, path)
+        get = value.get
+        result = {}
+        for member, code in pairs:
+            item = get(code, _ABSENT)
+            if type(item) is not plain or bounded and not _LO <= item <= _HI:
+                if item is _ABSENT:
+                    raise SchemaError(f"{path}.{code}: missing required field")
+                item = decode_item(item, f"{path}.{code}")
+            result[member] = item
+        if len(value) > len(pairs):
+            _unknown(value, known, path)
+        return result
+
+    return decode
+
+
+def _sequence_decoder(container: type, tp: object) -> Callable:
+    """Decoder of an array into a ``container`` of items of type ``tp``; an item's path is built only for a fault."""
+    decode_item = _decoder(tp)
+    plain, bounded = (tp, _PLAIN[tp]) if tp in _PLAIN else (None, False)
+    table = is_dataclass(tp) and tp not in _PRIMITIVES  # a table decoder takes the item's place
+
+    def decode(value: object, path: str) -> object:
+        if type(value) is not list:
+            value = _as_list(value, path)
+        if table:
+            return container([decode_item(item, path, index) for index, item in enumerate(value)])
+        return container(
+            [
+                item
+                if type(item) is plain and (not bounded or _LO <= item <= _HI)
+                else decode_item(item, f"{path}[{index}]")
+                for index, item in enumerate(value)
+            ]
+        )
+
+    return decode
+
+
+def _map_decoder(tp: object) -> Callable:
+    """Decoder of an object of any string keys, each holding an item of type ``tp``, in key order."""
+    decode_item = _decoder(tp)
+
+    def decode(value: object, path: str) -> dict:
+        obj = _obj(value, path)
+        return {key: decode_item(obj[key], f"{path}[{key!r}]") for key in sorted(obj)}
+
+    return decode
+
+
+def _enum_code(enum: type) -> Callable:
+    members, noun = _ENUMS[enum]
 
     def decode(value: object, path: str) -> object:
         code = _as_str(value, path)
@@ -231,67 +379,98 @@ def _enum_code(enum: type, noun: str) -> Callable:
     return decode
 
 
-# Decoders by type: the primitives, enum codes, and the types whose
-# document form is not their fields (added where those decoders are).
-_DECODERS: dict[object, Callable] = {str: _as_str, int: _as_int, float: _as_float, bool: _as_bool, date: _as_date}
-_DECODERS[MetricId] = _enum_code(MetricId, "metric code")
-_CODECS: dict[type, list] = {}  # dataclass tables; the manifest writer walks them too
+def _fields(cls: type) -> list[tuple]:
+    """(document key, field, type, nullable) for each of ``cls``'s fields, in table order.
+
+    Arrays and maps come first, and are read first: of several missing
+    fields, the first of them is reported.
+    """
+    entries = [(field.metadata.get("key", field.name), field, tp, nullable) for field, tp, nullable in _field_plan(cls)]
+    arrays = [entry for entry in entries if get_origin(entry[2])]
+    return arrays + [entry for entry in entries if not get_origin(entry[2])]
 
 
-@cache
-def _field_codec(tp: object) -> tuple[Callable, Callable | None]:
-    """(decoder, encoder) for one field type, built once; a ``None`` encoder keeps the value."""
-    if tp in _DECODERS:
-        return _DECODERS[tp], None
-    if is_dataclass(tp):
-        table = _CODECS[tp] = _build_codec(tp)
-        return (lambda value, path: tp(**_walk(table, value, path, path + "."))), _encode_object
-    container, args = get_origin(tp), get_args(tp)
-    if container is Mapping:
-        key_type, item_type = args
-        decode_item = _field_codec(item_type)[0]
-        if key_type is not str:  # an enum: one entry per member
-            return _keyed(tuple((member, member.value) for member in key_type), decode_item), None
+def _table(cls: type, **decoders: Callable | None) -> list:
+    """``cls``'s table; ``decoders`` replace those of the fields they name, which are then required and may be null.
 
-        def decode_map(value: object, path: str) -> dict:
-            obj = _obj(value, path)
-            return {key: decode_item(obj[key], f"{path}[{key!r}]") for key in sorted(obj)}
-
-        return decode_map, None
-    if container not in (frozenset, tuple):
-        raise TypeError(f"no codec for {tp!r}")
-    decode_item, encode_item = _field_codec(args[0])
-
-    def decode(value: object, path: str) -> object:
-        return container(decode_item(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
-
-    if container is frozenset:
-        return decode, sorted  # so that equal sets encode alike
-    if encode_item is None:
-        return decode, list
-    return decode, lambda values: [encode_item(v) for v in values]
-
-
-def _build_codec(cls: type, **decoders: Callable) -> list:
-    """``cls``'s table; ``decoders`` replace those of the fields they name, which are then required and may be null."""
-    table, arrays = [], []
-    for field, tp, nullable in _field_plan(cls)[0]:
-        decode, encode = _field_codec(tp)
-        key, omittable = field.metadata.get("key", field.name), field.metadata.get("omittable", False)
+    A replaced decoder of ``None`` takes the value as it stands.
+    """
+    position = {field.name: n for n, (field, _, _) in enumerate(_field_plan(cls))}
+    table = []
+    for key, field, tp, nullable in _fields(cls):
         if field.name in decoders:
-            decode, nullable, omittable = decoders[field.name], False, False
-        entry = (key, field.name, decode, encode, nullable, nullable or omittable)
-        (arrays if get_origin(tp) else table).append(entry)
-    # Arrays and maps are read first: of several missing fields, the first of them is reported.
-    return arrays + table
+            entry = (key, field.name, tp, decoders[field.name], False, False, MISSING)
+        else:
+            omittable = nullable or field.metadata.get("omittable", False)
+            entry = (key, field.name, tp, _decoder(tp), nullable, omittable, field.default)
+        table.append((*entry, position[field.name]))
+    return table
 
 
-def _encode_object(obj: object) -> dict:
-    result = {}
-    for key, name, _, encode, _, _ in _CODECS[type(obj)]:
-        value = getattr(obj, name)
-        result[key] = value if encode is None or value is None else encode(value)
-    return result
+# Decoders of primitive types; enum codes by enum, as (members by code, noun);
+# and the names of document roots, which messages give for their fields.
+_PRIMITIVES: dict[object, Callable] = {str: _as_str, int: _as_int, float: _as_float, bool: _as_bool, date: _as_date}
+_ENUMS: dict[type, tuple[dict, str]] = {MetricId: ({member.value: member for member in MetricId}, "metric code")}
+_ROOTS = {DatasetManifest: "manifest"}
+# Decoders by type and encoders by dataclass, built on first use.
+_DECODERS: dict[object, Callable] = {}
+_ENCODERS: dict[type, Callable] = {}
+# Types decoded otherwise than through their fields, by a builder added where the type is.
+_BUILDERS: dict[type, Callable] = {}
+
+
+def _decoder(tp: object) -> Callable:
+    """The decoder of one type, built on first use."""
+    if tp in _PRIMITIVES:
+        return _PRIMITIVES[tp]
+    if tp in _DECODERS:
+        return _DECODERS[tp]
+    container, args = get_origin(tp), get_args(tp)
+    if tp in _BUILDERS:
+        decode = _BUILDERS[tp]()
+    elif tp in _ENUMS:
+        decode = _enum_code(tp)
+    elif is_dataclass(tp):
+        decode = _table_decoder(_table(tp), _instance(tp), _ROOTS.get(tp, ""))
+    elif container is Mapping and args[0] is not str:  # keyed by an enum: one entry per member
+        decode = _keyed_decoder(tuple((member, member.value) for member in args[0]), args[1])
+    elif container is Mapping:
+        decode = _map_decoder(args[1])
+    elif container in (frozenset, tuple):
+        decode = _sequence_decoder(container, args[0])
+    else:
+        raise TypeError(f"no codec for {tp!r}")
+    _DECODERS[tp] = decode
+    return decode
+
+
+def _encoder(cls: type) -> Callable:
+    """The encoder of a dataclass, built on first use: an instance's document, its keys in table order.
+
+    It is compiled from one expression per field; ``e<n>`` are the
+    sections' encoders.
+    """
+    if cls in _ENCODERS:
+        return _ENCODERS[cls]
+    namespace: dict = {}
+    entries = []
+    for n, (key, field, tp, nullable) in enumerate(_fields(cls)):
+        value = f"obj.{field.name}"
+        item = get_args(tp)[0] if get_origin(tp) is tuple else None
+        if is_dataclass(item):
+            namespace[f"e{n}"] = _encoder(item)
+            value = f"[e{n}(x) for x in {value}]"
+        elif is_dataclass(tp):
+            namespace[f"e{n}"] = _encoder(tp)
+            value = f"e{n}({value})"
+        elif get_origin(tp) in (frozenset, tuple):  # a set sorted, so that equal sets encode alike
+            value = f"{'sorted' if get_origin(tp) is frozenset else 'list'}({value})"
+        if nullable and value != f"obj.{field.name}":
+            value = f"None if obj.{field.name} is None else {value}"
+        entries.append(f"{key!r}: {value}")
+    lines = ["def encode(obj):", f"    return {{{', '.join(entries)}}}"]
+    encode = _ENCODERS[cls] = _compiled("encode", lines, namespace)
+    return encode
 
 
 def _indented_json(document: object) -> str:
@@ -304,13 +483,10 @@ def _indented_json(document: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-_field_codec(DatasetManifest)
-
-
 def decode_manifest(text: str) -> DatasetManifest:
     """Structural decode only; invariants are left to :func:`validate_manifest`."""
     # Root fields are named without a prefix, but a missing one reads manifest.<name>.
-    return DatasetManifest(**_walk(_CODECS[DatasetManifest], _load_json(text), "manifest", ""))
+    return _decoder(DatasetManifest)(_load_json(text), "")
 
 
 def parse_manifest(text: str) -> DatasetManifest:
@@ -324,7 +500,7 @@ def parse_manifest(text: str) -> DatasetManifest:
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
-    return _encode_object(manifest)
+    return _encoder(DatasetManifest)(manifest)
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
@@ -355,22 +531,50 @@ def parse_weight_config(text: str) -> WeightConfig:
 
 def _applicability(value: object, path: str) -> dict:
     """A partial map of metric codes to flags; a metric it leaves out is applicable."""
+    obj = value if type(value) is dict else _obj(value, path)
     applicability = dict.fromkeys(_METRIC_CODE, True)
-    for code, flag in sorted(_obj(value, path).items()):
+    for code, flag in obj.items():
+        metric = _METRICS_BY_CODE.get(code)
+        if metric is None or type(flag) is not bool:
+            break
+        applicability[metric] = flag
+    else:
+        return applicability
+    for code, flag in sorted(obj.items()):  # the fault that comes first in key order
         if code not in _METRICS_BY_CODE:
             raise SchemaError(f"{path}.{code}: unknown metric code")
         applicability[_METRICS_BY_CODE[code]] = _as_bool(flag, f"{path}.{code}")
     return applicability
 
 
-# A config document's root: alpha by component code, one object of weights
-# per component, and the optional applicability map.  Its fields' paths
-# have no prefix (``alpha.C``), but a missing one reads ``weights.<key>``.
-_WEIGHT_FIELDS = [
-    ("alpha", "alpha", _keyed(COMPONENT_CODES, _as_float), None, False, False),
-    *((group, group, _keyed(members, _as_float), None, False, False) for group, members in _WEIGHT_GROUPS.items()),
-    ("applicability", "applicability", _applicability, None, True, True),
-]
+def _weight_config(where: str, index: None, fields: dict) -> WeightConfig:
+    """``make`` for a config document: the config it states, normalised."""
+    weights = {metric: weight for group in _WEIGHT_GROUPS for metric, weight in fields[group].items()}
+    applicability = fields["applicability"] or dict.fromkeys(_METRIC_CODE, True)
+    config = WeightConfig(alpha=tuple(fields["alpha"].values()), weights=weights, applicability=applicability)
+    try:
+        return validate_weight_config(config)
+    except SchemaError as exc:
+        raise SchemaError(f"{_prefix(where, index)}{exc}") from None
+
+
+def _weight_config_decoder() -> Callable:
+    """A config document's decoder: alpha by component code, one object of weights per component,
+    and the optional applicability map.
+
+    Its fields' paths have no prefix at the root (``alpha.C``), but a
+    missing one reads ``weights.<key>``.  Inside a report the config must
+    be an object: ``equal`` is not expanded there, and its messages name
+    the report: ``report.config.alpha.C: ...``.
+    """
+    table = [("alpha", "alpha", None, _keyed_decoder(COMPONENT_CODES, float), False, False, MISSING)]
+    for group, members in _WEIGHT_GROUPS.items():
+        table.append((group, group, None, _keyed_decoder(members, float), False, False, MISSING))
+    table.append(("applicability", "applicability", None, _applicability, True, True, None))
+    return _table_decoder([(*entry, n) for n, entry in enumerate(table)], _weight_config, "weights")
+
+
+_BUILDERS[WeightConfig] = _weight_config_decoder
 
 
 def weight_config_from_obj(obj: object, path: str = "") -> WeightConfig:
@@ -381,21 +585,7 @@ def weight_config_from_obj(obj: object, path: str = "") -> WeightConfig:
     """
     if obj == "equal":
         return equal_weight_config()
-    prefix = path + "." if path else ""
-    fields = _walk(_WEIGHT_FIELDS, obj, path or "weights", prefix)
-    weights = {metric: weight for group in _WEIGHT_GROUPS for metric, weight in fields[group].items()}
-    applicability = fields.get("applicability") or dict.fromkeys(_METRIC_CODE, True)
-    try:
-        return validate_weight_config(
-            WeightConfig(alpha=tuple(fields["alpha"].values()), weights=weights, applicability=applicability)
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"{prefix}{exc}") from None
-
-
-# Inside a report, the config must be an object: ``equal`` is not expanded
-# there.  Its messages name the report: ``report.config.alpha.C: ...``.
-_DECODERS[WeightConfig] = lambda value, path: weight_config_from_obj(_obj(value, path), path)
+    return _decoder(WeightConfig)(obj, path)
 
 
 def _by_code(pairs: Iterable[tuple]) -> list[tuple]:
@@ -504,19 +694,26 @@ def report_to_json(report: StrideReport) -> str:
     return _indented_json(report_to_dict(report))
 
 
-def _sub_score(value: object, path: str) -> SubScore:
-    """One sub-score entry: its ``value`` is a number when applicable and null otherwise."""
-    fields = _walk(_SUB_SCORE_FIELDS, value, path, path + ".")
-    if fields["applicable"]:
-        fields["value"] = _as_float(fields["value"], f"{path}.value")
-    elif fields["value"] is not None:
-        raise SchemaError(f"{path}.value: must be null when not applicable")
-    return SubScore(**fields)
+def _sub_score_decoder() -> Callable:
+    """A sub-score entry's decoder: its ``value`` is a number when applicable and null otherwise."""
+    new = object.__new__
+
+    def make(where: str, index: int | None, fields: dict) -> SubScore:
+        value = fields["value"]
+        if fields["applicable"]:
+            if not (type(value) is float and _LO <= value <= _HI):
+                fields["value"] = _as_float(value, _prefix(where, index) + "value")
+        elif value is not None:
+            raise SchemaError(f"{_prefix(where, index)}value: must be null when not applicable")
+        sub = new(SubScore)  # as _instance makes it
+        sub.__dict__.update(fields)
+        return sub
+
+    # ``value`` is taken as it stands (a finite float inline), and checked once every field is read.
+    return _table_decoder(_table(SubScore, value=None), make)
 
 
-# ``value`` is taken as it stands by the walk and checked by _sub_score.
-_SUB_SCORE_FIELDS = _build_codec(SubScore, value=lambda value, path: value)
-_DECODERS[SubScore] = _sub_score
+_BUILDERS[SubScore] = _sub_score_decoder
 
 
 def report_from_dict(document: dict) -> StrideReport:
@@ -524,7 +721,7 @@ def report_from_dict(document: dict) -> StrideReport:
     version = _as_str(_take(root, "spec_version", "report"), "report.spec_version")
     if version != SPEC_VERSION:
         raise SchemaError(f"report.spec_version: unsupported version {version!r}")
-    report = _field_codec(StrideReport)[0](root, "report")
+    report = _decoder(StrideReport)(root, "report")
     seen: set[MetricId] = set()
     for index, sub in enumerate(report.sub_scores):
         if sub.metric_id in seen:
@@ -677,10 +874,10 @@ def _delta_decoder(tp: object) -> Callable:
     """The decoder of a :mod:`stride.delta` document, adding delta's own decoders on first use."""
     from .delta import DiscrepancyCategory, Interval
 
-    if Interval not in _DECODERS:
-        _DECODERS[Interval] = _as_interval
-        _DECODERS[DiscrepancyCategory] = _enum_code(DiscrepancyCategory, "category")
-    return _field_codec(tp)[0]
+    if Interval not in _PRIMITIVES:
+        _PRIMITIVES[Interval] = _as_interval
+        _ENUMS[DiscrepancyCategory] = ({member.value: member for member in DiscrepancyCategory}, "category")
+    return _decoder(tp)
 
 
 def parse_rating_record(text: str, label: str = "rating") -> RatingRecord:

@@ -12,20 +12,25 @@ so documents with out-of-range values can still be represented and then
 reported field by field; :func:`validate_manifest` and
 :func:`validate_weight_config` are the gatekeepers.  Each manifest
 field's admissible range is declared in that field's metadata, and
-:func:`validate_manifest` walks the fields and checks what they declare.
+:func:`validate_manifest` checks what they declare, through one check
+per section class built from those declarations on first use.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
-from typing import Any, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError, _is_finite, _shown
 
 # Version stamp carried by every emitted JSON report.
 SPEC_VERSION = "1.0"
+
+# Finite floats are those within these bounds; NaN is within none.
+_LO, _HI = -sys.float_info.max, sys.float_info.max
 
 
 class MetricId(str, Enum):
@@ -97,24 +102,24 @@ STANDARD_LAYER_COUNT = 5
 # ---------------------------------------------------------------------------
 #
 # Each single-field rule is declared on its field.  A rule is a pair
-# (test, describe): the value passes when ``test(value)`` is true, and
-# otherwise ``describe(value)`` is the violation message.  A float is
-# first checked to be finite, and a tuple's rule applies to each item.
-# ``at_most`` names a sibling field that the value may not exceed, checked
-# once both have passed their own rules.
+# (test, describe): the value passes when the expression ``test`` holds of
+# it, as ``value``, and otherwise ``describe(value)`` is the violation
+# message.  A float is first checked to be finite, and a tuple's rule
+# applies to each item.  ``at_most`` names a sibling field that the value
+# may not exceed, checked once both have passed their own rules.
 
 
-_NON_EMPTY = (bool, "must be non-empty".format)
+_NON_EMPTY = ("value", "must be non-empty".format)
 # Written as ``value >= 0`` and the like, so that NaN fails them.
-_NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative".format)
-_POSITIVE = (lambda value: value > 0, "must be positive".format)
-_AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1".format)
-_UNIT = (lambda value: 0 <= value <= 1, "must be in [0, 1], got {!r}".format)
-_OPEN_UNIT = (lambda value: 0 < value < 1, "must be strictly between 0 and 1, got {!r}".format)
-_FLAG = (lambda value: value in (0, 1), lambda value: f"must be 0 or 1, got {_shown(value)}")
-_LAYER_COUNT = (lambda value: value == STANDARD_LAYER_COUNT, f"must be {STANDARD_LAYER_COUNT}".format)
+_NON_NEGATIVE = ("value >= 0", "must be non-negative".format)
+_POSITIVE = ("value > 0", "must be positive".format)
+_AT_LEAST_ONE = ("value >= 1", "must be at least 1".format)
+_UNIT = ("0 <= value <= 1", "must be in [0, 1], got {!r}".format)
+_OPEN_UNIT = ("0 < value < 1", "must be strictly between 0 and 1, got {!r}".format)
+_FLAG = ("value in (0, 1)", lambda value: f"must be 0 or 1, got {_shown(value)}")
+_LAYER_COUNT = (f"value == {STANDARD_LAYER_COUNT}", f"must be {STANDARD_LAYER_COUNT}".format)
 _KNOWN_LAYERS = (
-    STANDARD_LAYERS.issuperset,
+    "STANDARD_LAYERS.issuperset(value)",
     lambda layers: f"unknown layers: {sorted(set(layers) - STANDARD_LAYERS)}",
 )
 
@@ -324,14 +329,14 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
         if metric not in config.applicability:
             raise SchemaError(f"applicability: missing entry for {code}")
         weight = config.weights[metric]
-        if not _is_finite(weight):
+        if not (type(weight) is float and _LO <= weight <= _HI or _is_finite(weight)):
             raise SchemaError(f"weights.{code}: {_not_finite(weight)}")
         if weight < 0:
             raise SchemaError(f"weights.{code}: negative weight {weight!r}")
     if len(config.alpha) != 4:
         raise SchemaError("alpha: expected exactly four coefficients")
     for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha):
-        if not _is_finite(coefficient):
+        if not (type(coefficient) is float and _LO <= coefficient <= _HI or _is_finite(coefficient)):
             raise SchemaError(f"alpha.{code}: {_not_finite(coefficient)}")
         if coefficient < 0:
             raise SchemaError(f"alpha.{code}: negative coefficient {coefficient!r}")
@@ -373,54 +378,19 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
     Returns an empty list for a well-formed manifest.  Violations are
     reported as data rather than raised, so callers can surface all of
     them at once.  The rules are the ones declared on the fields of the
-    manifest's dataclasses, checked in field order, section by section;
-    absent optional sections are skipped.  A NaN, an infinity or an
-    integer beyond float range in a float field is reported as not finite
-    in place of that field's rule.
+    manifest's dataclasses, checked in field order, section by section,
+    by a function built from those declarations on first use; absent
+    optional sections are skipped.  A NaN, an infinity or an integer
+    beyond float range in a float field is reported as not finite in
+    place of that field's rule.
     """
     found: list[Violation] = []
-    _check(manifest, "", found)
+    _rule_check(type(manifest))(manifest, "", None, found)
     # Unlike the at_most pairs, the layer count is compared whatever the two fields hold.
     coverage = manifest.coverage
     if len(coverage.standard_layers_covered) > coverage.standard_layers_total:
         found.append(Violation("coverage.standard_layers_covered", "cannot exceed standard_layers_total"))
     return found
-
-
-def _check(obj: object, prefix: str, found: list[Violation]) -> None:
-    """Append to ``found`` each rule that ``obj`` or one of its sections breaks.
-
-    ``prefix`` starts the paths of ``obj``'s fields.
-    """
-    _, values, sections, bounded = _field_plan(type(obj))
-    failed: tuple[str, ...] = ()
-    for name, finite, many, test, describe in values:
-        value = getattr(obj, name)
-        if many:
-            for index, item in enumerate(value):
-                message = _not_finite(item) if finite else None
-                if message is None and not test(item):
-                    message = describe(item)
-                if message is not None:
-                    found.append(Violation(f"{prefix}{name}[{index}]", message))
-            continue
-        message = _not_finite(value) if finite else None
-        if message is None:
-            if test(value):
-                continue
-            message = describe(value)
-        found.append(Violation(prefix + name, message))
-        failed += (name,)
-    for name, many in sections:
-        value = getattr(obj, name)
-        if many:
-            for index, item in enumerate(value):
-                _check(item, f"{prefix}{name}[{index}].", found)
-        elif value is not None:
-            _check(value, f"{prefix}{name}.", found)
-    for name, bound in bounded:
-        if name not in failed and bound not in failed and getattr(obj, name) > getattr(obj, bound):
-            found.append(Violation(prefix + name, f"cannot exceed {bound}"))
 
 
 def _not_finite(value: float) -> str | None:
@@ -432,36 +402,117 @@ def _not_finite(value: float) -> str | None:
     return f"must be a finite number, got {value!r}"
 
 
-_ANY = (lambda value: True, None)
+def _prefix(where: str, index: int | None) -> str:
+    """The start of the paths of an object's fields, from the object's place.
+
+    ``where`` is the object's path, or ``""`` for a document root, whose
+    fields are named without a prefix; ``index`` is its position when it
+    is an item of the array at ``where``.  Built functions call this only
+    to name a fault or a section, so a valid document builds no path.
+    """
+    if index is not None:
+        return f"{where}[{index}]."
+    return where + "." if where else ""
+
+
+def _compiled(name: str, lines: list[str], namespace: dict) -> Callable:
+    """The function ``name`` that ``lines`` define, compiled with ``namespace`` as its globals."""
+    exec(compile("\n".join(lines), f"<stride {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_CHECKS: dict[type, Callable] = {}  # rule checks by class, built on first use
 
 
 @cache
-def _field_plan(cls: type) -> tuple[tuple, tuple, tuple, tuple]:
-    """``cls``'s fields as the manifest codec and :func:`_check` read them, built once.
+def _rule_test(test: str) -> Callable:
+    """A rule's test as a function, for a value that its inline form did not pass."""
+    return eval(f"lambda value: {test}", {"STANDARD_LAYERS": STANDARD_LAYERS})
 
-    Returns ``(fields, values, sections, bounded)``.  ``fields`` holds
-    ``(field, type, nullable)`` for the codec in :mod:`stride.io`, where
-    ``type`` leaves out the ``| None`` of a nullable field.  The rest is
-    what :func:`_check` walks: the values it checks, the sections it
-    descends into, and the at_most pairs.  Values are checked before
-    sections, which keeps field order: no manifest class declares a value
-    after a section.
+
+def _fault(name: str, finite: bool, test: str, describe: Callable) -> Callable:
+    """``fault(value, where, index, found, position=None)``: record the violation ``value`` makes, if any.
+
+    It returns ``(name,)`` when it records one for a field, and ``()``
+    otherwise; ``position`` places an item of a tuple field.
+    """
+
+    def fault(value: object, where: str, index: int | None, found: list, position: int | None = None) -> tuple:
+        message = _not_finite(value) if finite else None
+        if message is None and not _rule_test(test)(value):
+            message = describe(value)
+        if message is None:
+            return ()
+        place = _prefix(where, index) + name
+        found.append(Violation(place if position is None else f"{place}[{position}]", message))
+        return () if position is not None else (name,)
+
+    return fault
+
+
+def _rule_check(cls: type) -> Callable:
+    """``cls``'s rule check, ``check(obj, where, index, found)``, built on first use.
+
+    It appends to ``found`` each rule that ``obj`` or one of its sections
+    breaks, in the order of the fields: the values ``cls`` declares rules
+    on (and its floats), then its sections, then its at_most pairs; no
+    manifest class declares a value after a section.  It is compiled from
+    one inline test per value, which passes a value that keeps its rule, a
+    float being finite in the same test; only a value that fails it is
+    judged again by its fault.  The source is kept short, since compiling
+    it is most of the cost of a first use: ``o`` is the object, ``w`` and
+    ``i`` its place, ``L`` and ``H`` the bounds of float range, ``f<n>``
+    the faults and ``c<n>`` the sections' checks.
+    """
+    if cls in _CHECKS:
+        return _CHECKS[cls]
+    namespace = {"Violation": Violation, "_prefix": _prefix, "L": _LO, "H": _HI, "STANDARD_LAYERS": STANDARD_LAYERS}
+    lines = ["def check(o, w, i, found):", "    failed = ()"]
+    sections = []
+    for n, (spec, tp, _) in enumerate(_field_plan(cls)):
+        many = get_origin(tp) is tuple
+        item = get_args(tp)[0] if many else tp
+        if is_dataclass(item):
+            namespace[f"c{n}"] = _rule_check(item)
+            sections.append((spec.name, n, many))
+            continue
+        test, describe = spec.metadata.get("rule") or ("True", None)
+        if test == "True" and item is not float:
+            continue
+        namespace[f"f{n}"] = _fault(spec.name, item is float, test, describe)
+        fast = f"type(value) is float and L <= value <= H and {test}" if item is float else test
+        if many:
+            lines.append(f"    for p, value in enumerate(o.{spec.name}):")
+            lines.append(f"        if not ({fast}): f{n}(value, w, i, found, p)")
+        else:
+            lines += [f"    value = o.{spec.name}", f"    if not ({fast}): failed += f{n}(value, w, i, found)"]
+    if sections:
+        lines.append("    prefix = _prefix(w, i)")
+    for field, n, many in sections:
+        if many:
+            lines.append(f"    for p, item in enumerate(o.{field}): c{n}(item, prefix + {field!r}, p, found)")
+        else:
+            lines.append(f"    if o.{field} is not None: c{n}(o.{field}, prefix + {field!r}, None, found)")
+    for spec, _, _ in _field_plan(cls):
+        if spec.metadata.get("at_most"):
+            field, bound = spec.name, spec.metadata["at_most"]
+            lines.append(f"    if {field!r} not in failed and {bound!r} not in failed and o.{field} > o.{bound}:")
+            lines.append(f"        found.append(Violation(_prefix(w, i) + {field!r}, {f'cannot exceed {bound}'!r}))")
+    check = _CHECKS[cls] = _compiled("check", lines, namespace)
+    return check
+
+
+@cache
+def _field_plan(cls: type) -> tuple[tuple, ...]:
+    """``(field, type, nullable)`` for each of ``cls``'s fields, in order, built once.
+
+    ``type`` leaves out the ``| None`` of a nullable field.  The codecs of
+    :mod:`stride.io` and :func:`_rule_check` are built from it.
     """
     hints = get_type_hints(cls)
-    types, values, sections, bounded = [], [], [], []
+    plan = []
     for spec in fields(cls):
         tp = hints[spec.name]
         nullable = type(None) in get_args(tp)
-        if nullable:
-            tp = get_args(tp)[0]
-        types.append((spec, tp, nullable))
-        many = get_origin(tp) is tuple
-        item = get_args(tp)[0] if many else tp
-        rule = spec.metadata.get("rule")
-        if is_dataclass(item):
-            sections.append((spec.name, many))
-        elif rule or item is float:
-            values.append((spec.name, item is float, many, *(rule or _ANY)))
-        if spec.metadata.get("at_most"):
-            bounded.append((spec.name, spec.metadata["at_most"]))
-    return tuple(types), tuple(values), tuple(sections), tuple(bounded)
+        plan.append((spec, get_args(tp)[0] if nullable else tp, nullable))
+    return tuple(plan)

@@ -30,15 +30,17 @@ still load; it re-encodes the parsed report once, entry by entry, and
 checks the run id against the spliced text and the config digest
 against the ``config`` entry.  It then recomputes the component scores
 and the trust from the stored sub-scores and config, with the fold that
-scoring uses, and requires the stored ones to match bit for bit.
+scoring uses, and requires the stored ones to match bit for bit; so must
+the config's weights match the normalised ones that they load as.
 
 Filesystem errors while saving raise :class:`StoreError`, and so does a
 report holding NaN or an infinity, before anything is written.  A record
 that cannot be read or decoded, including one holding NaN, an infinity
 or a number beyond float range, is a store fault too: loading it raises
 :class:`StoreError`, and so does a record whose envelope fields are not
-strings, whose manifest or config digest contradicts its report, or
-whose component scores or trust contradict its sub-scores.
+strings, whose manifest or config digest contradicts its report, whose
+config weights are not normalised, or whose component scores or trust
+contradict its sub-scores.
 """
 
 from __future__ import annotations
@@ -55,7 +57,15 @@ from typing import BinaryIO
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError, StoreError
-from .io import _finite_float, _literal_error, _NonFiniteLiteral, _refuse_constant, report_from_dict, report_to_dict
+from .io import (
+    _WEIGHT_GROUPS,
+    _finite_float,
+    _literal_error,
+    _NonFiniteLiteral,
+    _refuse_constant,
+    report_from_dict,
+    report_to_dict,
+)
 from .model import StrideReport
 from .scoring import _components_and_trust
 
@@ -293,9 +303,26 @@ def _check_arithmetic(report: StrideReport, full_id: str) -> None:
         raise StoreError(f"run {full_id}: stored trust does not match its component scores")
 
 
+def _check_config(stored: dict, report: StrideReport, full_id: str) -> None:
+    """Refuse a report whose stored config weights are not, bit for bit, those it loads with.
+
+    Loading renormalises the config's weights, as for a config document;
+    :func:`save_run` writes a config that scoring has normalised already,
+    so its weights come back unchanged.  A record edited to other weights
+    and renamed to its new hash would otherwise be served with weights
+    that hash to another id.  Alpha and the flags load as they are stored.
+    """
+    weights = report.config_snapshot.weights
+    for group, members in _WEIGHT_GROUPS.items():
+        entries = stored["config"][group]
+        for metric, code in members:
+            if not _same_bits(entries[code], weights[metric]):
+                raise StoreError(f"run {full_id}: stored config.{group}.{code} is not a normalised weight")
+
+
 def _same_bits(stored: float, computed: float) -> bool:
     """Equality that also tells 0.0 from -0.0; neither side is NaN."""
-    return stored == computed and math.copysign(1.0, stored) == math.copysign(1.0, computed)
+    return stored == computed and (stored != 0 or math.copysign(1.0, stored) == math.copysign(1.0, computed))
 
 
 def _verified_record(raw: dict, full_id: str) -> RunRecord:
@@ -323,6 +350,7 @@ def _verified_record(raw: dict, full_id: str) -> RunRecord:
     if raw["config_digest"] != _text_digest(texts["config"]):
         raise StoreError(f"run {full_id}: record config_digest does not match its report")
     _check_arithmetic(report, full_id)
+    _check_config(stored, report, full_id)
     return RunRecord(
         run_id=raw["run_id"],
         timestamp=raw["timestamp"],

@@ -201,14 +201,21 @@ def _inclusive_quantiles(values: Sequence[float], n: int) -> tuple[float, ...]:
 
     The stdlib's steps, the same from Python 3.10 to 3.13, so the cut
     points are the same floats, without importing ``statistics``, which
-    takes longer than most calls here.
+    takes longer than most calls here.  Where the stdlib's formula
+    overflows, on values near float range, a cut is taken as the weighted
+    sum of its two neighbours instead, which cannot overflow, and kept
+    between them.
     """
     data = sorted(values)
     m = len(data) - 1
     cuts = []
     for i in range(1, n):
         j, delta = divmod(i * m, n)
-        cuts.append((data[j] * (n - delta) + data[j + 1] * delta) / n)
+        low, high = data[j], data[j + 1]
+        cut = (low * (n - delta) + high * delta) / n
+        if not math.isfinite(cut):
+            cut = min(max(low * ((n - delta) / n) + high * (delta / n), low), high)
+        cuts.append(cut)
     return tuple(cuts)
 
 

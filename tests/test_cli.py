@@ -279,6 +279,24 @@ class TestExplain:
         assert captured.out == ""
         assert captured.err == f"error: run {new_id}: stored component_scores.C does not match its sub-scores\n"
 
+    def test_record_whose_config_is_not_normalised_exits_3(self, store, manifest_file, capsys):
+        # Double the credibility weights, rehash the report and rename the record to the new id.
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        path = store / f"{run_id}.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        weights = raw["report"]["config"]["credibility"]
+        for code in weights:
+            weights[code] *= 2
+        raw["config_digest"] = content_digest(raw["report"]["config"])
+        new_id = raw["run_id"] = content_digest(raw["report"])
+        (store / f"{new_id}.json").write_text(canonical_json(raw) + "\n", encoding="utf-8")
+        exit_code = main(["explain", "--run", new_id])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: run {new_id}: stored config.credibility.IM is not a normalised weight\n"
+
 
 class TestValidate:
     def test_clean_manifest_reports_ok(self, manifest_file, capsys):

@@ -22,10 +22,13 @@ finite trust, component and sub-score values and reload equal.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import itertools
 import json
 import math
 import random
 import re
+import typing
 
 import pytest
 
@@ -35,7 +38,7 @@ from mutants import at, drop, mutant, trails
 from stride.errors import ComputationError, SchemaError, StoreError
 from stride.fixtures import fixture_text
 from stride.io import decode_manifest, manifest_to_dict
-from stride.model import equal_weight_config
+from stride.model import DatasetManifest, equal_weight_config
 from stride.runstore import load_run, save_run
 from stride.scoring import score_dataset
 
@@ -194,6 +197,118 @@ def test_extreme_finite_numbers_score_finite_and_reload(name, number, tmp_path):
         assert all(math.isfinite(value) for value in values), _dotted(trail)
         assert load_run(save_run(report, tmp_path), tmp_path).report == report
     assert scored > 0
+
+
+# Values aimed at the decoder's inline tests, which take only an exact int,
+# float, str or bool: a bool in a number field, an int in a float field, a
+# float in an int field, and ints at and beyond the edge of float range.
+INLINE_EDGES = ["true", "false", "1", "0", "-1", "1.0", "-0.0", str(2**1024 - 2**970 - 1), str(10**400)]
+
+
+@pytest.mark.parametrize("name", POISON_DOCUMENTS)
+@pytest.mark.parametrize("literal", INLINE_EDGES, ids=lambda literal: literal[:12])
+def test_values_at_the_inline_tests_decode_like_the_oracle(name, literal):
+    document = _document(name)
+    for trail in _numeric_trails(document):
+        text = _poisoned(document, trail, literal)[0]
+        if literal == str(10**400):  # beyond float range: refused by the engine, which the oracle does not check
+            reason = "expected a finite number within float range"
+            with pytest.raises(SchemaError, match=f"^{re.escape(_dotted(trail))}: {reason}$"):
+                decode_manifest(text)
+            continue
+        _decode_like_the_oracle(text)
+
+
+def _objects(document: dict):
+    """The trail to every object in ``document``, the root's first."""
+    yield ()
+    for trail, value in trails(document):
+        if isinstance(value, dict):
+            yield trail
+
+
+def _without(document: dict, drops: list) -> dict:
+    """``document`` with each (object trail, key) of ``drops`` removed."""
+    mutated = copy.deepcopy(document)
+    for trail, key in sorted(drops, key=lambda drop: -len(drop[0])):  # inner objects first
+        at(mutated, trail).pop(key)
+    return mutated
+
+
+def _bare(tp: object) -> object:
+    """``tp`` without the ``| None`` of a nullable field."""
+    args = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    return args[0] if type(None) in typing.get_args(tp) else tp
+
+
+def _reading_order(cls: type, document: object, trail: tuple = ()):
+    """(object trail, key) of each required field under ``document``, in the order the decoder reads them.
+
+    An object's arrays and maps come first, then its other fields, each in
+    declaration order; a section is read through where it stands.
+    """
+    hints = {name: _bare(tp) for name, tp in typing.get_type_hints(cls).items()}
+    specs = sorted(dataclasses.fields(cls), key=lambda spec: not typing.get_origin(hints[spec.name]))
+    for spec in specs:
+        key, tp = spec.metadata.get("key", spec.name), hints[spec.name]
+        if not (spec.metadata.get("omittable") or type(None) in typing.get_args(typing.get_type_hints(cls)[spec.name])):
+            yield trail, key
+        value = document.get(key) if isinstance(document, dict) else None
+        if dataclasses.is_dataclass(tp) and isinstance(value, dict):
+            yield from _reading_order(tp, value, trail + (key,))
+        elif typing.get_origin(tp) is tuple and isinstance(value, list):
+            item_type = typing.get_args(tp)[0]
+            for index, item in enumerate(value if dataclasses.is_dataclass(item_type) else ()):
+                yield from _reading_order(item_type, item, trail + (key, index))
+
+
+@pytest.mark.parametrize("name", ["fixture", "seed-10"])
+def test_several_missing_fields_name_the_first_one_read(name):
+    # With one field missing the engine words it as the oracle does (above); with several, it names
+    # the first that it reads, in the oracle's words for that field alone.
+    document = _document(name)
+    objects = list(_objects(document))
+    cases = [
+        [(trail, first), (trail, second)]
+        for trail in objects
+        for first, second in itertools.combinations(at(document, trail), 2)
+    ]
+    cases += [[(trail, key) for key in at(document, trail)] for trail in objects]  # every field of one object
+    cases.append([(trail, next(iter(at(document, trail)))) for trail in objects])  # the first field of every object
+    cases.append([(trail, list(at(document, trail))[-1]) for trail in objects])  # and the last
+    refused = 0
+    for drops in cases:
+        first = next((place for place in _reading_order(DatasetManifest, document) if place in drops), None)
+        if first is None:  # only optional fields are missing
+            assert decode_manifest(json.dumps(_without(document, drops))) is not None
+            continue
+        with pytest.raises(SchemaError) as alone:
+            oracle.decode_manifest(json.dumps(_without(document, [first])))
+        with pytest.raises(SchemaError) as caught:
+            decode_manifest(json.dumps(_without(document, drops)))
+        assert str(caught.value) == str(alone.value), drops
+        refused += 1
+    assert refused > 100
+
+
+OPTIONAL_SECTIONS = ("annotation", "agility", "sampling_inputs")
+
+
+@pytest.mark.parametrize("name", ["fixture", "seed-10"])
+def test_optional_sections_null_absent_and_omitted_decode_like_the_oracle(name, tmp_path):
+    document = _document(name)
+    for states in itertools.product(("kept", "null", "absent", "omitted"), repeat=len(OPTIONAL_SECTIONS)):
+        mutated = copy.deepcopy(document)
+        for section, state in zip(OPTIONAL_SECTIONS, states):
+            if state == "null":
+                mutated[section] = None
+            elif state == "absent":
+                mutated.pop(section, None)
+            elif state == "omitted" and section == "agility" and isinstance(mutated.get(section), dict):
+                mutated[section].pop("epsilon", None)  # the one omittable field, which takes its default
+        manifest = _decode_like_the_oracle(json.dumps(mutated))
+        assert manifest is not None
+        _score_save_load(manifest, tmp_path)
 
 
 def test_poison_documents_hold_every_number_field():

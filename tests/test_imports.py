@@ -114,6 +114,46 @@ def test_each_subcommand_loads_only_its_modules(inputs, tmp_path, monkeypatch, c
         assert {name for name in loaded if name.split(".")[0] == "stride"} == {"stride", "stride.cli"} | expected, argv
 
 
+# The codecs and rule checks built so far: decoders by type, encoders and checks by class.
+_BUILT = """
+import contextlib, io, json, sys
+import stride.io, stride.model
+
+def built():
+    names = lambda types: sorted(getattr(tp, "__name__", repr(tp)) for tp in types)
+    return [names(stride.io._DECODERS), names(stride.io._ENCODERS), names(stride.model._CHECKS)]
+
+after_import = built()
+import stride.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = stride.cli.main(sys.argv[1:])
+print(json.dumps([after_import, code, built()]))
+"""
+# The document classes of scoring: a manifest and its sections, a config and a report.
+SCORING_CLASSES = {
+    "DatasetManifest", "CoverageProfile", "EvidenceItem", "RecognitionProfile", "TemporalProfile", "SafetyAudit",
+    "GovernanceStats", "AnnotationStats", "AgilityStats", "SamplingInputs", "WeightConfig", "SubScore", "StrideReport",
+}
+
+
+def test_codecs_are_built_on_first_use_by_the_commands_that_decode(inputs, tmp_path):
+    # Importing builds nothing, and sample and delta build none of the scoring codecs.
+    run_id = "0" * 64
+    for argv, expected in _commands(inputs, run_id):
+        if argv[0] == "explain":
+            continue
+        after_import, code, (decoders, encoders, checks) = json.loads(_fresh(_BUILT, *argv, store=tmp_path / "runs"))
+        assert code == 0, argv
+        assert after_import == [[], [], []], argv
+        if argv[0] in ("sample", "delta"):
+            assert not SCORING_CLASSES & set(decoders) and encoders == [] and checks == [], argv
+        if argv[0] == "delta":
+            assert {"RatingRecord", "IssueScore"} <= set(decoders), argv
+            assert ("Annotation" in decoders) == ("--annotations" in argv), argv
+        if argv[0] == "validate":
+            assert "DatasetManifest" in decoders and "DatasetManifest" in checks and encoders == [], argv
+
+
 def test_sampling_commands_load_no_statistics(inputs, tmp_path):
     # The numeric binning takes its quantiles itself, since importing statistics costs more than a call.
     population = str(inputs / "population.json")

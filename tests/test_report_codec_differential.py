@@ -18,6 +18,7 @@ applicable sub-score marked not applicable while keeping its value.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -29,7 +30,7 @@ from mutants import drop, mutant, set_to, trails
 from stride.errors import SchemaError
 from stride.fixtures import fixture_text
 from stride.io import parse_manifest, report_from_dict, report_to_dict, weight_config_from_obj, weight_config_to_dict
-from stride.model import equal_weight_config
+from stride.model import MetricId, equal_weight_config
 from stride.scoring import score_dataset
 
 CONFIGS = {"equal": equal_weight_config, "skewed": skewed_config}
@@ -151,3 +152,92 @@ def _config_mutants(document: dict):
         yield mutant(
             document, ("applicability",), lambda parent, key, members=members: parent[key].update(dict.fromkeys(members, False))
         )
+
+
+# Subclasses of the JSON types, which a caller of the public decoders may
+# pass: each fails the decoder's exact-type inline tests, so it goes to the
+# primitives, which convert it (a float or an int in a float field) or keep
+# it (a string), as the oracle does.
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _subclassed(value: object) -> object:
+    """``value`` with every float, int, string, object and array at any depth an instance of a subclass.
+
+    An integral float becomes an ``_Int``; keys stay plain strings.
+    """
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, float):
+        return _Int(int(value)) if value.is_integer() else _Float(value)
+    if isinstance(value, int):
+        return _Int(value)
+    if isinstance(value, str):
+        return _Str(value)
+    if isinstance(value, dict):
+        return _Dict({key: _subclassed(item) for key, item in value.items()})
+    return _List(_subclassed(item) for item in value)
+
+
+def _with_members(document: dict) -> dict:
+    """``document`` with each sub-score's metric code, and each applicability key, its ``MetricId`` member."""
+    mutated = copy.deepcopy(document)
+    for entry in mutated["sub_scores"]:
+        entry["metric_id"] = MetricId(entry["metric_id"])
+    applicability = mutated["config"]["applicability"]
+    mutated["config"]["applicability"] = {MetricId(code): flag for code, flag in applicability.items()}
+    return mutated
+
+
+def _leaf_types(value: object) -> object:
+    """The type of every leaf and key of a decoded report or config, in field order."""
+    if dataclasses.is_dataclass(value):
+        return [_leaf_types(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [(type(key), _leaf_types(item)) for key, item in value.items()]
+    if isinstance(value, tuple):
+        return [_leaf_types(item) for item in value]
+    return type(value)
+
+
+def _same_outcome(engine, reference, document) -> None:
+    try:
+        expected = reference(copy.deepcopy(document))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as caught:
+            engine(copy.deepcopy(document))
+        assert str(caught.value) == str(exc)
+        return
+    decoded = engine(copy.deepcopy(document))
+    assert decoded == expected
+    assert _leaf_types(decoded) == _leaf_types(expected)
+
+
+@pytest.mark.parametrize(("config", "name"), DOCUMENTS)
+def test_subclassed_values_and_members_decode_like_the_oracle(config, name):
+    document = oracle.report_to_dict(_report(config, name))
+    for variant in (_subclassed(document), _with_members(document), _subclassed(_with_members(document))):
+        _same_outcome(report_from_dict, oracle.report_from_dict, variant)
+        _same_outcome(weight_config_from_obj, oracle.weight_config_from_obj, variant["config"])
+    count = 0
+    for trail, value in trails(document):  # one value at a time
+        _same_outcome(report_from_dict, oracle.report_from_dict, mutant(document, trail, set_to(_subclassed(value))))
+        count += 1
+    assert count > 100

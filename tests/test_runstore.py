@@ -366,6 +366,15 @@ def _zero_self_serving(sign: float):
     return edit
 
 
+def _scale_credibility(factor: float):
+    def edit(document):
+        weights = document["config"]["credibility"]
+        for code in weights:
+            weights[code] *= factor
+
+    return edit
+
+
 def _no_credibility(document):
     for sub in document["sub_scores"]:
         if sub["metric_id"] in ("IM", "AT", "ER", "TR"):
@@ -416,6 +425,28 @@ class TestStoredArithmetic:
         run_id = _write_edited(tmp_path, report, _zero_self_serving(1.0))
         loaded = load_run(run_id, tmp_path).report
         assert loaded.component_scores[ComponentId.SELF_SERVING] == 0.0 and loaded.trust > report.trust
+
+    @pytest.mark.parametrize(
+        ("config", "edit", "reason"),
+        [
+            # Doubled weights renormalise to the stored ones, so the scores still add up.
+            (equal_weight_config, _scale_credibility(2.0), "stored config.credibility.IM is not a normalised weight"),
+            # AT is inapplicable under the skewed config, so its weight loads as 0.0.
+            (
+                skewed_config,
+                _set("config", "credibility", "AT", -0.0),
+                "stored config.credibility.AT is not a normalised weight",
+            ),
+        ],
+        ids=["credibility doubled", "inapplicable weight negative zero"],
+    )
+    def test_record_whose_config_is_not_normalised_is_a_store_error(
+        self, luxshare_manifest, tmp_path, config, edit, reason
+    ):
+        # The parent served these, with weights under which the loaded report has another run id.
+        run_id = _write_edited(tmp_path, score_dataset(luxshare_manifest, config()), edit)
+        with pytest.raises(StoreError, match=f"^run {run_id}: {re.escape(reason)}$"):
+            load_run(run_id, tmp_path)
 
     def test_save_refuses_to_keep_an_edited_record(self, report, tmp_path):
         run_id = _write_edited(tmp_path, report, _set("trust", 0.9), indent=2)

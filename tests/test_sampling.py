@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import stride.sampling as sampling
 from stride.errors import ComputationError, SchemaError
 from stride.sampling import (
     Distribution,
@@ -71,6 +72,23 @@ class TestDistributions:
         assert dist.categories[0] == "bin01"
         assert dist.categories[-1] == "bin10"
         assert len(dist.categories) == 10
+
+    @pytest.mark.parametrize(
+        ("values", "indices", "probabilities"),
+        [
+            ([1e308, 1e308], [9, 9], (0, 0, 0, 0, 0, 0, 0, 0, 0, 1.0)),
+            ([-1e308, 1e308], [0, 9], (0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0.5)),
+        ],
+        ids=["equal extremes", "opposite extremes"],
+    )
+    def test_values_near_float_range_get_finite_breakpoints(self, values, indices, probabilities):
+        # The stdlib's quantile formula overflowed: inf cuts for equal values, -inf, nan and inf for opposite ones.
+        binning, found = sampling._bin_column(_records(values), "c", 10)
+        cuts = binning.breakpoints
+        assert all(map(math.isfinite, cuts)) and list(cuts) == sorted(cuts)
+        assert min(values) <= cuts[0] and cuts[-1] <= max(values)
+        assert found == indices
+        assert categorical_distribution(_records(values), "c").probabilities == probabilities
 
     def test_list_values_are_counted_per_mention(self):
         dist = categorical_distribution(_records([("a", "b"), ("a",)]), "c")

@@ -87,6 +87,49 @@ def test_two_fault_mutants_match_the_oracle_as_a_multiset(name):
         assert Counter(map(str, validate_manifest(mutant))) == Counter(map(str, oracle.validate_manifest(mutant)))
 
 
+# Faults in many fields at once.  In each at_most pair below one side breaks
+# its own rule, so the pair is not compared, though the covered count
+# exceeds the total; safety's pair keeps both rules and is compared.
+MANY_FAULTS = [
+    (("dataset_id",), ""),
+    (("coverage", "countries_covered"), 10**9),
+    (("coverage", "countries_total"), -5),
+    (("coverage", "industries_covered"), -1),
+    (("coverage", "external_data_flag"), 2),
+    (("coverage", "standard_layers_total"), 4),
+    (("recognition", "single_event_confidence"), 1.5),
+    (("temporal", "lag_years"), float("nan")),
+    (("temporal", "decay_rate"), 0.0),
+    (("safety", "harmful_rows"), 10),
+    (("safety", "total_rows"), 5),
+    (("governance", "interventions"), 50),
+    (("governance", "governed_cases"), -1),
+    (("governance", "experts_involved"), float("inf")),
+    (("governance", "accuracy_series", 0), 2.0),
+    (("evidence", 0, "auditability"), float("-inf")),
+    (("annotation", "human_fraction"), -0.5),
+    (("agility", "epsilon"), 0.0),
+    (("sampling_inputs", "saturation_threshold"), 0),
+]
+
+
+@pytest.mark.parametrize("name", ["fixture", "seed-10"])
+def test_many_faults_at_once_match_the_oracle_as_a_multiset(name):
+    manifest = _manifest(name)
+    applied = 0
+    for trail, value in MANY_FAULTS:
+        try:
+            manifest = _replaced(manifest, trail, value)
+        except (AttributeError, IndexError, TypeError):  # a section or item this manifest does not have
+            continue
+        applied += 1
+    found = validate_manifest(manifest)
+    assert Counter(map(str, found)) == Counter(map(str, oracle.validate_manifest(manifest)))
+    assert "coverage.countries_covered: cannot exceed countries_total" not in map(str, found)
+    assert "safety.harmful_rows: cannot exceed total_rows" in map(str, found)
+    assert applied >= 14 and len(found) >= 12
+
+
 def test_mutants_reach_every_manifest_field():
     # Seed 10 has every optional section, evidence and an accuracy series.
     fields = {tuple(key for key in trail if isinstance(key, str)) for trail, _ in _sites(_manifest("seed-10"))}
