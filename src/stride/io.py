@@ -8,9 +8,9 @@ beyond float range, are refused.
 Writers emit indented JSON whose floats round-trip exactly, so
 ``parse(emit(x))`` reproduces ``x``.  One function states the report
 document, keys in sorted order: :func:`report_to_dict` keeps its values,
-and :func:`report_to_json` fills them into a layout that the stdlib's
-indented encoder rendered once, on first use, from the same function;
-its bytes are those of that encoder.
+and the report writer reads them in one pass as the slots of two layouts
+that the stdlib's indented and canonical encoders rendered once, on first
+use, from the same function; its bytes are those of the encoders.
 
 One table codec reads manifests, weight configs, reports, rating records
 and annotations.  A dataclass's table comes from its fields, so a field
@@ -52,6 +52,8 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import MISSING, is_dataclass
 from datetime import date
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
 from .errors import SchemaError, _is_finite
@@ -655,43 +657,105 @@ def report_to_dict(report: StrideReport) -> dict:
     return _report_document(report, _same)
 
 
-_encode_json_str = json.encoder.encode_basestring_ascii
-_report_layout = ""  # the report text with a %s slot per leaf, rendered on first use
+# The report writer's leaves, in _report_document's order: component scores,
+# alphas, flags, weights, the manifest digest, the spec version, per sub-score
+# its flag, inputs digest, metric id and value, and the trust.
+_component_leaves = itemgetter(*(component for component, _ in _SORTED_COMPONENTS))
+_alpha_leaves = itemgetter(*sorted(range(len(_COMPONENT_KEYS)), key=_COMPONENT_KEYS.__getitem__))
+_flag_leaves = itemgetter(*(metric for metric, _ in _SORTED_METRICS))
+_weight_leaves = itemgetter(*(metric for _, members in _SORTED_GROUPS for metric, _ in members))
+_sub_score_leaves = attrgetter("applicable", "inputs_digest", "metric_id", "value")
+_FLAGS = slice(2 * len(COMPONENT_CODES), 2 * len(COMPONENT_CODES) + len(METRIC_CODES))
+_WEIGHTS = slice(_FLAGS.stop, _FLAGS.stop + len(METRIC_CODES))
+_APPLICABLE, _INPUTS_DIGESTS, _METRIC_IDS, _VALUES = (slice(_WEIGHTS.stop + n, -1, 4) for n in range(2, 6))
+_LEAF_TYPES = [float] * _FLAGS.start + [bool] * len(METRIC_CODES) + [float] * len(METRIC_CODES) + [str, str]
+_LEAF_TYPES += [bool, str, str, float] * len(METRIC_CODES) + [float]
+_VALUE_TYPES = {float: float, type(None): float}  # a sub-score's value is a float or None
+_FLAG_TEXT = {True: "true", False: "false"}
+_UNESCAPED = bytes(code for code in range(0x20, 0x7F) if chr(code) not in '"\\')  # what JSON strings hold as is
+_report_layouts: list[str | None] = [None, None]  # each rendered on first use by _written
+
+
+def _report_leaves(report: StrideReport) -> list | None:
+    """The report's leaves as the writer's slots take them, or None for a report that it does not take.
+
+    It takes the shape scoring makes, 13 sub-scores and four alphas, with
+    leaves of exactly scoring's types: floats with a finite sum, bools,
+    None for a value, and printable ASCII strings with no quote or
+    backslash.  A float's slot holds the float, which ``%s`` writes with
+    ``float.__repr__`` as the encoders do; a report that faults when read
+    is declined, so that the stdlib path raises its own error.
+    """
+    try:
+        config = report.config_snapshot
+        sub_scores = report.sub_scores
+        if len(sub_scores) != len(METRIC_CODES) or len(config.alpha) != len(COMPONENT_CODES):
+            return None
+        leaves = [
+            *_component_leaves(report.component_scores),
+            *_alpha_leaves(config.alpha),
+            *_flag_leaves(config.applicability),
+            *_weight_leaves(config.weights),
+            report.manifest_digest,
+            SPEC_VERSION,
+            *chain.from_iterable(map(_sub_score_leaves, sub_scores)),
+            report.trust,
+        ]
+        leaves[_METRIC_IDS] = map(_METRIC_CODE.__getitem__, leaves[_METRIC_IDS])
+    except (AttributeError, LookupError, TypeError, ValueError):  # the stdlib path raises what this met
+        return None
+    types = [*map(type, leaves)]
+    types[_VALUES] = map(_VALUE_TYPES.get, types[_VALUES])
+    if types != _LEAF_TYPES:
+        return None
+    total = sum(leaves[: _FLAGS.start]) + sum(leaves[_WEIGHTS]) + sum(filter(None, leaves[_VALUES])) + leaves[-1]
+    strings = leaves[_WEIGHTS.stop] + "".join(leaves[_INPUTS_DIGESTS])  # and the manifest digest
+    if total - total != 0 or not strings.isascii() or strings.encode().translate(None, _UNESCAPED):
+        return None  # NaN, an infinity or a sum past float range; a string that JSON escapes
+    leaves[_FLAGS] = map(_FLAG_TEXT.__getitem__, leaves[_FLAGS])
+    leaves[_APPLICABLE] = map(_FLAG_TEXT.__getitem__, leaves[_APPLICABLE])
+    leaves[_VALUES] = ["null" if value is None else value for value in leaves[_VALUES]]
+    return leaves
+
+
+def _written(report: StrideReport, form: int) -> str | None:
+    """The report in the writer's indented (``form`` 0) or canonical (1) layout; None if it is not taken.
+
+    Each layout is rendered on its first use with a placeholder at every
+    leaf; a string's ``%s`` slot lies between its quotes.
+    """
+    leaves = _report_leaves(report)
+    if leaves is None:
+        return None
+    layout = _report_layouts[form]
+    if layout is None:
+        from .digests import canonical_json
+
+        document = _report_document(report, lambda value: "\x00" if type(value) is str else "\x01")
+        text = canonical_json(document) if form else _indented_json(document)
+        layout = _report_layouts[form] = text.replace("\\u0000", "%s").replace('"\\u0001"', "%s")
+    return layout % tuple(leaves)
 
 
 def report_to_json(report: StrideReport) -> str:
     """Indented report JSON, byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``.
 
-    A report of the one shape that scoring makes, 13 sub-scores and four
-    alphas, whose leaves are plain finite floats, bools, strings and
-    ``None``, fills a layout that the stdlib encoder rendered once from
-    the same document with a placeholder at every leaf; each slot takes
-    the leaf's text as that encoder writes it.  Any other report goes
-    through the stdlib encoder itself, so its errors are the stdlib's own.
+    A report that the writer does not take goes through that encoder, with its bytes and its errors.
     """
-    global _report_layout
-    leaves: list = []
-    _report_document(report, leaves.append)
-    if len(report.sub_scores) == len(METRIC_CODES) and len(report.config_snapshot.alpha) == len(COMPONENT_CODES):
-        for index, value in enumerate(leaves):
-            kind = type(value)
-            if kind is float:  # ``%s`` writes it with ``float.__repr__``, as the encoder does
-                if not math.isfinite(value):
-                    break
-            elif kind is str:
-                leaves[index] = _encode_json_str(value)
-            elif kind is bool:
-                leaves[index] = "true" if value else "false"
-            elif value is None:
-                leaves[index] = "null"
-            else:
-                break
-        else:
-            if not _report_layout:
-                placeholders = _report_document(report, lambda value: "\x00")
-                _report_layout = _indented_json(placeholders).replace('"\\u0000"', "%s")
-            return _report_layout % tuple(leaves)
-    return _indented_json(report_to_dict(report))
+    text = _written(report, 0)
+    return _indented_json(report_to_dict(report)) if text is None else text
+
+
+def _canonical_report(report: StrideReport) -> tuple[str, str, str] | None:
+    """``canonical_json`` of the report document and of its config and manifest digest entries, or None.
+
+    An entry's text runs from its key to the next, since no string leaf holds a quote.
+    """
+    text = _written(report, 1)
+    if text is None:
+        return None
+    config, digest, version = (text.index(key) for key in (',"config":', ',"manifest_digest":', ',"spec_version":'))
+    return text, text[config + 10 : digest], text[digest + 19 : version]
 
 
 def _sub_score_decoder() -> Callable:

@@ -201,16 +201,16 @@ class GovernanceStats:
     """Human oversight counts across the dataset's production pipeline."""
 
     interventions: int = _ruled(_NON_NEGATIVE, at_most="governed_cases")
-    governed_cases: int = _ruled(_NON_NEGATIVE)
+    governed_cases: int = _ruled(_POSITIVE)
     experts_involved: int = _ruled(_NON_NEGATIVE, at_most="experts_total")
-    experts_total: int = _ruled(_NON_NEGATIVE)
+    experts_total: int = _ruled(_POSITIVE)
     stages_with_experts: int = _ruled(_NON_NEGATIVE, at_most="stages_total")
-    stages_total: int = _ruled(_NON_NEGATIVE)
+    stages_total: int = _ruled(_POSITIVE)
     accuracy_series: tuple[float, ...] = _ruled(_UNIT)
     assumptions_disclosed: int = _ruled(_NON_NEGATIVE, at_most="assumptions_required")
     assumptions_required: int = _ruled(_NON_NEGATIVE)
     role_relations_separated: int = _ruled(_NON_NEGATIVE, at_most="role_relations_total")
-    role_relations_total: int = _ruled(_NON_NEGATIVE)
+    role_relations_total: int = _ruled(_POSITIVE)
 
 
 @dataclass(frozen=True)

@@ -7,31 +7,26 @@ idempotent.  Records are single JSON files written atomically
 its id is reported as corrupt rather than silently served.
 
 A record is canonical JSON (sorted keys, no insignificant whitespace,
-UTF-8) followed by a newline.  Saving encodes each entry of the report
-once, through the shared canonical encoder of :mod:`stride.digests`, and
-splices the entries into the report's canonical text: that text is
-hashed for the run id, and the ``config`` entry's text for the config
-digest.  The record is written as a fixed template around the report
-text, its keys in sorted order (``config_digest``, ``manifest_digest``,
-``report``, ``run_id``, ``timestamp``), so the bytes are those of
-``canonical_json(record)``.
+UTF-8) followed by a newline.  The report writer of :mod:`stride.io`
+renders the report's canonical text once, hashed for the run id, and
+its ``config`` entry's text for the config digest; the record is a fixed
+template around it, so its bytes are those of ``canonical_json(record)``.
 
 The store is touched with the calls it needs.  Saving opens the target
 record directly: a missing one is written to a new temp file (created
 exclusively, the store directory made only when that creation finds it
 missing) and renamed into place.  An existing record that is exactly
-the one this save would write, up to its timestamp, is kept as it is;
-any other existing record is kept only if :func:`load_run` would serve
-it, checked by the same routine, and otherwise refused with its reason.
+the one this save would write, up to its timestamp, is kept unparsed;
+any other only if :func:`load_run` would serve it, by the same check.
 Loading a full 64-digit id opens its record directly, and a prefix or a
-missing record goes through :func:`resolve_run_id`.  Loading parses the
-record, not its bytes, so records written in the older indented form
-still load; it re-encodes the parsed report once, entry by entry, and
-checks the run id against the spliced text and the config digest
-against the ``config`` entry.  It then recomputes the component scores
-and the trust from the stored sub-scores and config, with the fold that
-scoring uses, and requires the stored ones to match bit for bit; so must
-the config's weights match the normalised ones that they load as.
+missing record goes through :func:`resolve_run_id`.  A record in saved
+form for the report that it decodes to is served with no other parse.
+Any other, such as one in the older indented form, is parsed refusing
+non-finite numbers and re-encoded entry by entry; its run id, digests
+and decoded report's own id must agree.  Either way, the component
+scores and the trust, recomputed from the stored sub-scores and config
+with the fold that scoring uses, must match bit for bit, as must the
+config's weights the normalised ones that they load as.
 
 Filesystem errors while saving raise :class:`StoreError`, and so does a
 report holding NaN or an infinity, before anything is written.  A record
@@ -39,8 +34,8 @@ that cannot be read or decoded, including one holding NaN, an infinity
 or a number beyond float range, is a store fault too: loading it raises
 :class:`StoreError`, and so does a record whose envelope fields are not
 strings, whose manifest or config digest contradicts its report, whose
-config weights are not normalised, or whose component scores or trust
-contradict its sub-scores.
+report loads as a report of another id, whose config weights are not
+normalised, or whose component scores or trust contradict its sub-scores.
 """
 
 from __future__ import annotations
@@ -56,9 +51,10 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .digests import _splice, _text_digest, canonical_json, content_digest
-from .errors import ComputationError, SchemaError, StoreError
+from .errors import ComputationError, SchemaError, StoreError, StrideError
 from .io import (
     _WEIGHT_GROUPS,
+    _canonical_report,
     _finite_float,
     _literal_error,
     _NonFiniteLiteral,
@@ -96,16 +92,31 @@ def run_id_for(report: StrideReport) -> str:
     A report holding NaN or an infinity has no canonical JSON, so it has
     no id: that raises :class:`StoreError`.
     """
-    return _text_digest(_splice(_report_texts(report)))
+    return _saved_form(report)[0]
 
 
-def _report_texts(report: StrideReport) -> dict[str, str]:
-    """The canonical text of each entry of the report's document."""
-    report_dict = report_to_dict(report)
-    try:  # in key order, so that the first non-finite value is the one canonical_json(report_dict) meets
-        return {key: canonical_json(report_dict[key]) for key in sorted(report_dict)}
-    except ValueError as exc:  # canonical JSON refuses NaN and the infinities
-        raise StoreError(f"report has no run id: {exc}") from None
+def _saved_form(report: StrideReport) -> tuple[str, str, str]:
+    """The report's run id and config digest, and the record :func:`save_run` writes for it up to the timestamp.
+
+    That is ``canonical_json(record)`` spelled out around the report text,
+    whose digests and timestamp are hex and ISO text.  A report that the
+    writer does not take has each entry encoded on its own and spliced.
+    """
+    texts = _canonical_report(report)
+    if texts is None:
+        report_dict = report_to_dict(report)
+        try:  # in key order, so that the first non-finite value is the one canonical_json(report_dict) meets
+            entries = {key: canonical_json(report_dict[key]) for key in sorted(report_dict)}
+        except ValueError as exc:  # canonical JSON refuses NaN and the infinities
+            raise StoreError(f"report has no run id: {exc}") from None
+        texts = _splice(entries), entries["config"], entries["manifest_digest"]
+    report_text, config_text, digest_text = texts
+    run_id, config_digest = _text_digest(report_text), _text_digest(config_text)
+    head = (
+        f'{{"config_digest":"{config_digest}","manifest_digest":{digest_text},'
+        f'"report":{report_text},"run_id":"{run_id}","timestamp":"'
+    )
+    return run_id, config_digest, head
 
 
 def _record_path(directory: str, run_id: str) -> str:
@@ -128,15 +139,16 @@ def _open_record(path: str, absent_ok: bool = False) -> BinaryIO | None:
 
 
 def _is_saved_form(text: str, head: str) -> bool:
-    """Whether a record's parsed ``text`` is the one that ``head`` starts, up to its timestamp.
+    """Whether a record's ``text`` is the one that ``head`` starts, up to its timestamp.
 
-    The timestamp must hold no quote or backslash and end the record, so
-    that nothing, such as a second ``"report"`` key, can follow it.
+    The timestamp must hold no quote, backslash or control character and
+    end the record, so that the record parses and nothing, such as a
+    second ``"report"`` key, can follow it.
     """
     if not text.startswith(head) or not text.endswith('"}\n'):
         return False
     timestamp = text[len(head) : -3]
-    return '"' not in timestamp and "\\" not in timestamp
+    return '"' not in timestamp and "\\" not in timestamp and timestamp.isprintable()
 
 
 # Temp file names: .{id prefix}-{pid}-{n}.tmp, n counting up within a process.
@@ -162,25 +174,15 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     filesystem error while creating the store or writing the record.
     """
     store = Path(store_path)
-    texts = _report_texts(report)
-    report_text = _splice(texts)
-    run_id = _text_digest(report_text)
+    run_id, _, head = _saved_form(report)
     directory = str(store)
     target = _record_path(directory, run_id)
-    # canonical_json(record) spelled out around the report text, up to the
-    # timestamp's value.  The digests and the timestamp are hex and ISO text,
-    # which JSON-encode as themselves in quotes; the manifest digest is the
-    # report's own entry, so its text is already encoded.
-    head = (
-        f'{{"config_digest":"{_text_digest(texts["config"])}",'
-        f'"manifest_digest":{texts["manifest_digest"]},'
-        f'"report":{report_text},"run_id":"{run_id}","timestamp":"'
-    )
 
     existing = _open_record(target, absent_ok=True)
     if existing is not None:
-        raw, text = _read_record(existing)
+        text = _read_record(existing)
         if not _is_saved_form(text, head):
+            raw = _parsed_record(text, f"{run_id}.json")
             if content_digest(raw.get("report")) != run_id:
                 raise StoreError(f"run {run_id}: stored content does not match its id")
             try:  # a record is kept only if load_run would serve it
@@ -222,25 +224,28 @@ def save_run(report: StrideReport, store_path: Path | str) -> str:
     return run_id
 
 
-def _read_record(handle: BinaryIO) -> tuple[dict, str]:
-    """Parse a record from its open file, which this closes; returns the record and its text."""
-    name = os.path.basename(handle.name)
+def _read_record(handle: BinaryIO) -> str:
+    """A record's text, from its open file, which this closes."""
     try:
         with handle:
             text = handle.readall().decode("utf-8")
-        if "\r" in text:  # as reading in text mode translates newlines
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        try:
-            raw = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
-        except (json.JSONDecodeError, _NonFiniteLiteral):
-            raise
-        except ValueError as exc:  # an integer too long for int(), which the parser does not place
-            raise _literal_error(exc, text) from None
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON, UTF-8 and non-finite numbers
+    except (OSError, ValueError) as exc:  # ValueError covers UTF-8
+        raise StoreError(f"cannot read run record {os.path.basename(handle.name)}: {exc}") from None
+    # Newlines translated as reading in text mode does.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _parsed_record(text: str, name: str) -> dict:
+    """A record parsed from its ``text``, refusing numbers that are not finite floats."""
+    try:
+        raw = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
+    except (json.JSONDecodeError, _NonFiniteLiteral, RecursionError) as exc:
         raise StoreError(f"cannot read run record {name}: {exc}") from None
+    except ValueError as exc:  # an integer too long for int(), which the parser does not place
+        raise StoreError(f"cannot read run record {name}: {_literal_error(exc, text)}") from None
     if not isinstance(raw, dict):
         raise StoreError(f"cannot read run record {name}: not a JSON object")
-    return raw, text
+    return raw
 
 
 def resolve_run_id(run_id: str, store_path: Path | str) -> str:
@@ -278,8 +283,25 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
     if handle is None:
         full_id = resolve_run_id(run_id, store)
         handle = _open_record(_record_path(str(store), full_id))
-    raw, _ = _read_record(handle)
-    return _verified_record(raw, full_id)
+    text = _read_record(handle)
+    return _saved_record(text, full_id) or _verified_record(_parsed_record(text, f"{full_id}.json"), full_id)
+
+
+def _saved_record(text: str, full_id: str) -> RunRecord | None:
+    """The run in ``text`` if it is, byte for byte, what :func:`save_run` writes for its decoded report; else None.
+
+    :func:`_verified_record` would serve the same run, since canonical
+    text parses back to itself; it takes every other record.
+    """
+    try:
+        raw = json.loads(text)
+        report = report_from_dict(raw["report"])
+        run_id, config_digest, head = _saved_form(report)
+    except (ValueError, TypeError, KeyError, RecursionError, StrideError):
+        return None
+    if run_id != full_id or not _is_saved_form(text, head):
+        return None
+    return _served(raw, report, full_id, config_digest)
 
 
 def _check_arithmetic(report: StrideReport, full_id: str) -> None:
@@ -345,16 +367,18 @@ def _verified_record(raw: dict, full_id: str) -> RunRecord:
         report = report_from_dict(stored)
     except SchemaError as exc:
         raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
+    record = _served(raw, report, full_id, _text_digest(texts["config"]))
+    if run_id_for(report) != full_id:
+        raise StoreError(f"run {full_id}: stored report loads as a report of another id")
+    return record
+
+
+def _served(raw: dict, report: StrideReport, full_id: str, config_digest: str) -> RunRecord:
+    """The run of a record whose report decodes as ``report``, once its digests and scores are checked."""
     if raw["manifest_digest"] != report.manifest_digest:
         raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
-    if raw["config_digest"] != _text_digest(texts["config"]):
+    if raw["config_digest"] != config_digest:
         raise StoreError(f"run {full_id}: record config_digest does not match its report")
     _check_arithmetic(report, full_id)
-    _check_config(stored, report, full_id)
-    return RunRecord(
-        run_id=raw["run_id"],
-        timestamp=raw["timestamp"],
-        manifest_digest=raw["manifest_digest"],
-        config_digest=raw["config_digest"],
-        report=report,
-    )
+    _check_config(raw["report"], report, full_id)
+    return RunRecord(raw["run_id"], raw["timestamp"], raw["manifest_digest"], raw["config_digest"], report)

@@ -142,16 +142,43 @@ class TestScore:
         assert exit_code == 2
         assert "cannot read manifest file" in captured.err
 
-    def test_unscorable_manifest_exits_3(self, store, tmp_path, capsys):
-        document = json.loads(fixture_text("luxshare_manifest.json"))
-        document["governance"]["interventions"] = 0
-        document["governance"]["governed_cases"] = 0
-        bad = tmp_path / "ungoverned.json"
-        bad.write_text(json.dumps(document), encoding="utf-8")
-        exit_code = main(["score", "--manifest", str(bad), "--weights", "equal"])
+    def test_unscorable_manifest_exits_3(self, store, tmp_path, manifest_file, capsys):
+        # The fixture is valid, but with RS inapplicable the self-serving component has no applicable sub-score.
+        document = json.loads(fixture_text("equal_weights.json"))
+        document["applicability"]["RS"] = False
+        weights = tmp_path / "no-rs.json"
+        weights.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest_file)]) == 0
+        capsys.readouterr()
+        exit_code = main(["score", "--manifest", str(manifest_file), "--weights", str(weights)])
         captured = capsys.readouterr()
         assert exit_code == 3
-        assert "governed_cases" in captured.err
+        assert captured.err == "error: component S: no applicable sub-score\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("total", "part"),
+        [
+            ("governed_cases", "interventions"),
+            ("experts_total", "experts_involved"),
+            ("stages_total", "stages_with_experts"),
+            ("role_relations_total", "role_relations_separated"),
+        ],
+    )
+    def test_validate_and_score_agree_on_a_zero_governance_total(self, store, tmp_path, capsys, total, part):
+        # A governance criterion is a share of its total, so a total of 0 leaves nothing to rate.
+        document = json.loads(fixture_text("luxshare_manifest.json"))
+        document["governance"].update({total: 0, part: 0})
+        bad = tmp_path / "ungoverned.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        codes = [main(["validate", "--manifest", str(bad)])]
+        validated = capsys.readouterr()
+        codes.append(main(["score", "--manifest", str(bad), "--weights", "equal"]))
+        scored = capsys.readouterr()
+        assert codes == [2, 2]
+        assert validated.out == f"governance.{total}: must be positive\n"
+        assert scored.err == f"error: manifest invariant violation: governance.{total}: must be positive\n"
+        assert scored.out == "" and not store.exists()
 
     def test_store_filesystem_error_exits_3(self, tmp_path, manifest_file, monkeypatch, capsys):
         blocker = tmp_path / "file"
@@ -278,6 +305,27 @@ class TestExplain:
         assert exit_code == 3
         assert captured.out == ""
         assert captured.err == f"error: run {new_id}: stored component_scores.C does not match its sub-scores\n"
+
+    @pytest.mark.parametrize("where", ["component S", "sub-score RS"])
+    def test_record_with_an_integer_in_a_float_field_exits_3(self, store, manifest_file, capsys, where):
+        # Write a float that is 1.0 as the int 1, rehash the report and rename the record to the new id.
+        main(["score", "--manifest", str(manifest_file), "--weights", "equal"])
+        run_id = capsys.readouterr().err.split()[-1]
+        raw = json.loads((store / f"{run_id}.json").read_text(encoding="utf-8"))
+        if where == "component S":
+            assert raw["report"]["component_scores"]["S"] == 1.0
+            raw["report"]["component_scores"]["S"] = 1
+        else:
+            (sub,) = [sub for sub in raw["report"]["sub_scores"] if sub["metric_id"] == "RS"]
+            assert sub["value"] == 1.0
+            sub["value"] = 1
+        new_id = raw["run_id"] = content_digest(raw["report"])
+        (store / f"{new_id}.json").write_text(canonical_json(raw) + "\n", encoding="utf-8")
+        exit_code = main(["explain", "--run", new_id])
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: run {new_id}: stored report loads as a report of another id\n"
 
     def test_record_whose_config_is_not_normalised_exits_3(self, store, manifest_file, capsys):
         # Double the credibility weights, rehash the report and rename the record to the new id.

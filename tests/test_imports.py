@@ -114,14 +114,16 @@ def test_each_subcommand_loads_only_its_modules(inputs, tmp_path, monkeypatch, c
         assert {name for name in loaded if name.split(".")[0] == "stride"} == {"stride", "stride.cli"} | expected, argv
 
 
-# The codecs and rule checks built so far: decoders by type, encoders and checks by class.
+# The codecs and rule checks built so far: decoders by type, encoders and checks
+# by class, and which of the report writer's layouts (indented, canonical) are built.
 _BUILT = """
 import contextlib, io, json, sys
-import stride.io, stride.model
+import stride.io, stride.model, stride.runstore
 
 def built():
     names = lambda types: sorted(getattr(tp, "__name__", repr(tp)) for tp in types)
-    return [names(stride.io._DECODERS), names(stride.io._ENCODERS), names(stride.model._CHECKS)]
+    codecs = [names(stride.io._DECODERS), names(stride.io._ENCODERS), names(stride.model._CHECKS)]
+    return [*codecs, [layout is not None for layout in stride.io._report_layouts]]
 
 after_import = built()
 import stride.cli
@@ -138,13 +140,16 @@ SCORING_CLASSES = {
 
 def test_codecs_are_built_on_first_use_by_the_commands_that_decode(inputs, tmp_path):
     # Importing builds nothing, and sample and delta build none of the scoring codecs.
+    # Only score builds the report writer's layouts; explain runs on a stored record below.
     run_id = "0" * 64
     for argv, expected in _commands(inputs, run_id):
         if argv[0] == "explain":
             continue
-        after_import, code, (decoders, encoders, checks) = json.loads(_fresh(_BUILT, *argv, store=tmp_path / "runs"))
+        after_import, code, built = json.loads(_fresh(_BUILT, *argv, store=tmp_path / "runs"))
+        decoders, encoders, checks, writer = built
         assert code == 0, argv
-        assert after_import == [[], [], []], argv
+        assert after_import == [[], [], [], [False, False]], argv
+        assert writer == [argv[0] == "score"] * 2, argv
         if argv[0] in ("sample", "delta"):
             assert not SCORING_CLASSES & set(decoders) and encoders == [] and checks == [], argv
         if argv[0] == "delta":
@@ -152,6 +157,15 @@ def test_codecs_are_built_on_first_use_by_the_commands_that_decode(inputs, tmp_p
             assert ("Annotation" in decoders) == ("--annotations" in argv), argv
         if argv[0] == "validate":
             assert "DatasetManifest" in decoders and "DatasetManifest" in checks and encoders == [], argv
+
+
+def test_explain_builds_only_the_canonical_layout_to_check_its_record(inputs, tmp_path, monkeypatch, capsys):
+    store = tmp_path / "runs"
+    monkeypatch.setenv("STRIDE_STORE", str(store))
+    assert main(["score", "--manifest", str(inputs / "luxshare_manifest.json"), "--weights", "equal"]) == 0
+    run_id = capsys.readouterr().err.split()[-1]
+    after_import, code, built = json.loads(_fresh(_BUILT, "explain", "--run", run_id[:12], store=store))
+    assert (after_import, code, built[3]) == ([[], [], [], [False, False]], 0, [False, True])
 
 
 def test_sampling_commands_load_no_statistics(inputs, tmp_path):

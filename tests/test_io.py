@@ -169,6 +169,17 @@ class TestReportSerialisation:
         document = json.loads(report_to_json(report))
         assert report_from_dict(document) == report
 
+    def test_decoding_leaves_the_document_unmutated(self, luxshare_manifest, equal_config):
+        # The run store checks a record's stored config after decoding its report from the same dict.
+        documents = [report_to_dict(score_dataset(luxshare_manifest, equal_config))]
+        documents.append(json.loads(json.dumps(documents[0]).replace("0.25", "0.5")))  # renormalised on decoding
+        documents.append(json.loads(json.dumps(documents[0])))
+        documents[-1]["component_scores"]["S"] = 1
+        for document in documents:
+            before = json.dumps(document)
+            report_from_dict(document)
+            assert json.dumps(document) == before
+
     def test_emission_is_deterministic(self, luxshare_manifest, equal_config):
         report = score_dataset(luxshare_manifest, equal_config)
         assert report_to_json(report) == report_to_json(report)

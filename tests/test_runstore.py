@@ -352,6 +352,10 @@ def _set(*path_and_value):
     return edit
 
 
+def _sub_score(document: dict, code: str) -> dict:
+    return next(sub for sub in document["sub_scores"] if sub["metric_id"] == code)
+
+
 def _zero_self_serving(sign: float):
     """The applicable self-serving sub-scores at 0.0, S stored as ``sign * 0.0``, and the trust that gives."""
 
@@ -447,6 +451,26 @@ class TestStoredArithmetic:
         run_id = _write_edited(tmp_path, score_dataset(luxshare_manifest, config()), edit)
         with pytest.raises(StoreError, match=f"^run {run_id}: {re.escape(reason)}$"):
             load_run(run_id, tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_set("component_scores", "S", 1), lambda document: _sub_score(document, "RS").update(value=1)],
+        ids=["component S", "sub-score RS"],
+    )
+    def test_record_with_an_integer_in_a_float_field_is_a_store_error(self, report, tmp_path, edit):
+        # The parent served these, and the loaded report, holding 1.0, hashed to another run id.
+        assert report.component_scores[ComponentId.SELF_SERVING] == 1.0 == report.sub_score(MetricId.ROLE_SEPARATION).value
+        run_id = _write_edited(tmp_path, report, edit)
+        with pytest.raises(StoreError, match=f"^run {run_id}: stored report loads as a report of another id$"):
+            load_run(run_id, tmp_path)
+
+    def test_save_refuses_to_keep_a_record_that_loads_under_another_id(self, report, tmp_path):
+        run_id = _write_edited(tmp_path, report, _set("component_scores", "S", 1), indent=2)
+        as_stored = dataclasses.replace(report, component_scores={**report.component_scores, ComponentId.SELF_SERVING: 1})
+        assert run_id_for(as_stored) == run_id
+        reason = "stored report loads as a report of another id"
+        with pytest.raises(StoreError, match=f"^run {run_id}: stored content does not match its id: {reason}$"):
+            save_run(as_stored, tmp_path)
 
     def test_save_refuses_to_keep_an_edited_record(self, report, tmp_path):
         run_id = _write_edited(tmp_path, report, _set("trust", 0.9), indent=2)

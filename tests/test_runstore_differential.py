@@ -156,6 +156,8 @@ def _hostile_records() -> dict[str, str]:
         )
         + "\n",
         "escaped timestamp": base.replace('"timestamp":"', '"timestamp":"a\\"b'),
+        "control character in the timestamp": base.replace('"timestamp":"', '"timestamp":"\x01'),
+        "tab in the timestamp": base.replace('"timestamp":"', '"timestamp":"\t'),
         "backslash timestamp": base.replace('"timestamp":"', '"timestamp":"\\u0041'),
         "key after the timestamp": base[:-2] + ',"zzz":1}\n',
         "no trailing newline": base[:-1],
@@ -403,6 +405,94 @@ def test_symlink_loop_at_the_record_path_matches_the_oracle(tmp_path):
         return _outcome(side.load_run, FIXTURE_ID, root), _outcome(side.save_run, FIXTURE, root)
 
     _assert_same(tmp_path / "t", build, act)
+
+
+# -- the saved-form shortcut ------------------------------------------------------
+#
+# load_run serves a record that is, byte for byte, what save_run writes for
+# its decoded report without the checked path's hooked parse and re-encoding.
+# It must return the same run, or raise the same message, as that path alone.
+
+
+def _loaded(store, run_id):
+    outcome = _outcome(engine.load_run, run_id, store)
+    return outcome if outcome[0] != "ok" else ("ok", outcome[1], repr(outcome[1]))
+
+
+def _checked_path_alone(monkeypatch):
+    monkeypatch.setattr(engine, "_saved_record", lambda text, full_id: None)
+
+
+def _assert_load_matches_the_checked_path(monkeypatch, store, run_id) -> tuple:
+    both = []
+    with monkeypatch.context() as patch:
+        for alone in (False, True):
+            if alone:
+                _checked_path_alone(patch)
+            both.append((_loaded(store, run_id), _loaded(store, run_id[:9])))
+    assert both[0] == both[1]
+    return both[0][0]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_record_loads_as_on_the_checked_path(tmp_path, monkeypatch, name):
+    _write(tmp_path / f"{FIXTURE_ID}.json", HOSTILE[name])
+    _assert_load_matches_the_checked_path(monkeypatch, tmp_path, FIXTURE_ID)
+
+
+def test_seeded_records_load_as_on_the_checked_path(tmp_path, monkeypatch):
+    for report in REPORTS:
+        outcome = _assert_load_matches_the_checked_path(monkeypatch, tmp_path, engine.save_run(report, tmp_path))
+        assert outcome[0] == "ok" and outcome[1].report == report
+
+
+def _scale(*path_and_factor):
+    *path, factor = path_and_factor
+
+    def edit(document):
+        for step in path[:-1]:
+            document = document[step]
+        document[path[-1]] = {key: value * factor for key, value in document[path[-1]].items()}
+
+    return edit
+
+
+EDITED = {
+    **{name: (edit, reason) for name, (edit, reason) in REFUSED_AS_INCONSISTENT.items()},
+    "credibility doubled": (_scale("config", "credibility", 2.0), "stored config.credibility.IM is not a normalised weight"),
+    "components doubled": (_scale("component_scores", 2.0), "stored component_scores.C does not match its sub-scores"),
+    "S as an integer": (_edit("component_scores", "S", 1), "stored report loads as a report of another id"),
+    "a value as an integer": (_edit("sub_scores", 12, "value", int), "stored report loads as a report of another id"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDITED))
+def test_edited_saved_form_record_keeps_its_refusal(tmp_path, monkeypatch, name):
+    edit, reason = EDITED[name]
+    run_id, text = _rehashed(edit)
+    _write(tmp_path / f"{run_id}.json", text)
+    assert _assert_load_matches_the_checked_path(monkeypatch, tmp_path, run_id) == ("StoreError", f"run {run_id}: {reason}")
+
+
+def test_saved_record_under_another_id_loads_as_on_the_checked_path(tmp_path, monkeypatch):
+    other = engine.save_run(REPORTS[2], tmp_path)
+    (tmp_path / f"{other}.json").rename(tmp_path / f"{FIXTURE_ID}.json")
+    refusal = ("StoreError", f"run {FIXTURE_ID}: record carries mismatched id {other!r}")
+    assert _assert_load_matches_the_checked_path(monkeypatch, tmp_path, FIXTURE_ID) == refusal
+
+
+def test_saved_records_take_the_shortcut(tmp_path, monkeypatch):
+    # A change that sent every record down the checked path would load them alike.
+    run_ids = [engine.save_run(report, tmp_path) for report in REPORTS if report.manifest_digest.isascii()]
+
+    def refuse(raw, full_id):
+        raise AssertionError("record went down the checked path")
+
+    monkeypatch.setattr(engine, "_verified_record", refuse)
+    monkeypatch.setattr(engine, "_parsed_record", refuse)
+    for run_id, report in zip(run_ids, [report for report in REPORTS if report.manifest_digest.isascii()]):
+        assert engine.load_run(run_id, tmp_path).report == report
+        assert engine.save_run(report, tmp_path) == run_id
 
 
 # -- ids and stores ------------------------------------------------------------

@@ -366,11 +366,14 @@ class TestScoreDataset:
         with pytest.raises(SchemaError, match="temporal.decay_rate"):
             score_dataset(manifest, equal_config)
 
-    def test_zero_governed_cases_is_a_computation_error(self, luxshare_manifest, equal_config):
+    def test_zero_governed_cases_is_a_schema_error(self, luxshare_manifest, equal_config):
+        # The field rule refuses it, as validate does; the leaf metric keeps its own guard.
         governance = dataclasses.replace(luxshare_manifest.governance, interventions=0, governed_cases=0)
         manifest = dataclasses.replace(luxshare_manifest, governance=governance)
-        with pytest.raises(ComputationError, match="governed_cases"):
+        with pytest.raises(SchemaError, match=r"^manifest validation failed: governance\.governed_cases: must be positive$"):
             score_dataset(manifest, equal_config)
+        with pytest.raises(ComputationError, match="^governance.governed_cases must be positive$"):
+            human_governed(governance)
 
     def test_sampling_inputs_activate_methodology(self, luxshare_manifest, equal_config):
         manifest = dataclasses.replace(
