@@ -6,18 +6,18 @@ adjustments, and fold the item adjustments into a net interval.  The
 tool never invents a classification beyond the fallback bucket for
 unannotated non-zero differences, and it never rescales scores; scale
 mismatches are reported as found.  The JSON document is the report's
-dataclass fields plus ``spec_version``.
+record fields plus ``spec_version``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from datetime import date
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
+from ._records import Field, record
 from .errors import ComputationError, SchemaError, _is_finite
 from .model import SPEC_VERSION
 
@@ -31,7 +31,7 @@ class DiscrepancyCategory(str, Enum):
     OTHER_SCORING_ERROR = "other_scoring_error"
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """A closed real interval; degenerate intervals carry a point value."""
 
@@ -57,17 +57,17 @@ def validate_interval(interval: Interval, path: str = "interval") -> Interval:
     return interval
 
 
-@dataclass(frozen=True)
+@record
 class IssueScore:
     """One issue-level score with the scale it was assigned on."""
 
     score: float
     scale_min: float
     scale_max: float
-    methodology_citation: str = field(default="", metadata={"omittable": True})
+    methodology_citation: str = Field("", metadata={"omittable": True})
 
 
-@dataclass(frozen=True)
+@record
 class RatingRecord:
     """A dated, per-issue rating from one source."""
 
@@ -78,7 +78,7 @@ class RatingRecord:
     issue_scores: Mapping[str, IssueScore]
 
 
-@dataclass(frozen=True)
+@record
 class RatingDiff:
     """Per-issue difference between two rating records.
 
@@ -95,18 +95,18 @@ class RatingDiff:
     scale_mismatch: bool
 
 
-@dataclass(frozen=True)
+@record
 class Annotation:
     """Analyst-supplied classification for one diffed issue."""
 
     category: DiscrepancyCategory
     adjustment: Interval
-    evidence_refs: tuple[str, ...] = field(default=(), metadata={"key": "evidence", "omittable": True})
-    narrative: str = field(default="", metadata={"omittable": True})
+    evidence_refs: tuple[str, ...] = Field((), metadata={"key": "evidence", "omittable": True})
+    narrative: str = Field("", metadata={"omittable": True})
     stride_assessment: Interval | None = None  # overrides the point score on display
 
 
-@dataclass(frozen=True)
+@record
 class DiscrepancyItem:
     """One classified discrepancy with its score adjustment interval."""
 
@@ -119,7 +119,7 @@ class DiscrepancyItem:
     narrative: str
 
 
-@dataclass(frozen=True)
+@record
 class DeltaReport:
     """Classified discrepancy items plus their net adjustment."""
 
@@ -285,7 +285,7 @@ def format_interval(interval: Interval) -> str:
 def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
     """Render a delta report's items and net adjustment as JSON or markdown.
 
-    The JSON document is ``spec_version`` plus the report's dataclass
+    The JSON document is ``spec_version`` plus the report's record
     fields under their own names, with sorted keys; an interval is an
     object of ``lower`` and ``upper``.  Output is a pure function of the
     report: same report, same bytes.
@@ -297,11 +297,20 @@ def emit_delta_report(report: DeltaReport, format: str = "json") -> str:
         if number is not None and not _is_finite(number):
             raise ComputationError(f"delta report has no finite {path}")
     if format == "json":
-        document = {"spec_version": SPEC_VERSION, **asdict(report)}
+        document = {"spec_version": SPEC_VERSION, **_document(report)}
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if format == "markdown":
         return _markdown_report(report)
     raise SchemaError(f"unknown report format {format!r}")
+
+
+def _document(value: object) -> object:
+    """``value`` as JSON data: a record as an object of its fields by name, a tuple or list as an array."""
+    if hasattr(value, "__record_fields__"):
+        return {field.name: _document(getattr(value, field.name)) for field in value.__record_fields__}
+    if isinstance(value, (tuple, list)):
+        return [_document(item) for item in value]
+    return value
 
 
 def _report_numbers(report: DeltaReport) -> Iterator[tuple[str, float | None]]:

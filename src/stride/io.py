@@ -13,7 +13,7 @@ that the stdlib's indented and canonical encoders rendered once, on first
 use, from the same function; its bytes are those of the encoders.
 
 One table codec reads manifests, weight configs, reports, rating records
-and annotations.  A dataclass's table comes from its fields, so a field
+and annotations.  A record class's table comes from its fields, so a field
 is declared in one place only; an object keyed by an enum (``alpha``, a
 weight group, ``component_scores``) has one entry per ``(member, code)``
 pair.  Each table is built on first use, never at import, into one
@@ -50,12 +50,12 @@ import math
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import MISSING, is_dataclass
 from datetime import date
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
+from ._records import MISSING, _compiled
 from .errors import SchemaError, _is_finite
 from .model import (
     COMPONENT_CODES,
@@ -68,7 +68,6 @@ from .model import (
     SubScore,
     Violation,
     WeightConfig,
-    _compiled,
     _field_plan,
     _HI,
     _LO,
@@ -199,13 +198,13 @@ def _as_date(value: object, path: str) -> date:
 # ---------------------------------------------------------------------------
 #
 # A table entry: (document key, field name, type, decoder, nullable, may be
-# absent, default, position in the class).  A dataclass field ``X | None``
+# absent, default, position in the class).  A record field ``X | None``
 # is absent-or-null; one whose metadata marks it omittable may be left out
 # and takes its default; its ``key`` metadata names it in documents; every
 # other field is required.
 #
 # Each table is built on first use into one decoder, compiled from source
-# with a line per field, and each dataclass's fields into one encoder,
+# with a line per field, and each record class's fields into one encoder,
 # compiled from an expression per field; a map keyed by an enum and an
 # array are loops in closures.  A decoder takes the common value of a
 # field of a plain type inline: a string, a bool, or an int or float within
@@ -293,9 +292,10 @@ def _table_decoder(table: list, make: Callable, root: str = "") -> Callable:
 def _instance(cls: type) -> Callable:
     """``make`` for ``cls``'s table: a new instance whose fields hold what ``__init__`` would set.
 
-    A frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``; filling the instance's ``__dict__`` leaves the
-    same state in a third of the time.
+    A record class's ``__init__`` (:func:`stride._records.record`) sets
+    each field through ``object.__setattr__``; filling the instance's
+    ``__dict__`` leaves the same state in a third of the time, and a
+    decoded class never compiles its ``__init__``.
     """
     new = object.__new__
 
@@ -339,7 +339,7 @@ def _sequence_decoder(container: type, tp: object) -> Callable:
     """Decoder of an array into a ``container`` of items of type ``tp``; an item's path is built only for a fault."""
     decode_item = _decoder(tp)
     plain, bounded = (tp, _PLAIN[tp]) if tp in _PLAIN else (None, False)
-    table = is_dataclass(tp) and tp not in _PRIMITIVES  # a table decoder takes the item's place
+    table = hasattr(tp, "__record_fields__") and tp not in _PRIMITIVES  # an item read by its table
 
     def decode(value: object, path: str) -> object:
         if type(value) is not list:
@@ -414,7 +414,7 @@ def _table(cls: type, **decoders: Callable | None) -> list:
 _PRIMITIVES: dict[object, Callable] = {str: _as_str, int: _as_int, float: _as_float, bool: _as_bool, date: _as_date}
 _ENUMS: dict[type, tuple[dict, str]] = {MetricId: ({member.value: member for member in MetricId}, "metric code")}
 _ROOTS = {DatasetManifest: "manifest"}
-# Decoders by type and encoders by dataclass, built on first use.
+# Decoders by type and encoders by record class, built on first use.
 _DECODERS: dict[object, Callable] = {}
 _ENCODERS: dict[type, Callable] = {}
 # Types decoded otherwise than through their fields, by a builder added where the type is.
@@ -432,7 +432,7 @@ def _decoder(tp: object) -> Callable:
         decode = _BUILDERS[tp]()
     elif tp in _ENUMS:
         decode = _enum_code(tp)
-    elif is_dataclass(tp):
+    elif hasattr(tp, "__record_fields__"):
         decode = _table_decoder(_table(tp), _instance(tp), _ROOTS.get(tp, ""))
     elif container is Mapping and args[0] is not str:  # keyed by an enum: one entry per member
         decode = _keyed_decoder(tuple((member, member.value) for member in args[0]), args[1])
@@ -447,7 +447,7 @@ def _decoder(tp: object) -> Callable:
 
 
 def _encoder(cls: type) -> Callable:
-    """The encoder of a dataclass, built on first use: an instance's document, its keys in table order.
+    """The encoder of a record class, built on first use: an instance's document, its keys in table order.
 
     It is compiled from one expression per field; ``e<n>`` are the
     sections' encoders.
@@ -459,10 +459,10 @@ def _encoder(cls: type) -> Callable:
     for n, (key, field, tp, nullable) in enumerate(_fields(cls)):
         value = f"obj.{field.name}"
         item = get_args(tp)[0] if get_origin(tp) is tuple else None
-        if is_dataclass(item):
+        if hasattr(item, "__record_fields__"):
             namespace[f"e{n}"] = _encoder(item)
             value = f"[e{n}(x) for x in {value}]"
-        elif is_dataclass(tp):
+        elif hasattr(tp, "__record_fields__"):
             namespace[f"e{n}"] = _encoder(tp)
             value = f"e{n}({value})"
         elif get_origin(tp) in (frozenset, tuple):  # a set sorted, so that equal sets encode alike

@@ -19,11 +19,11 @@ per section class built from those declarations on first use.
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
+from ._records import MISSING, Field, _compiled, record
 from .errors import SchemaError, _is_finite, _shown
 
 # Version stamp carried by every emitted JSON report.
@@ -126,10 +126,10 @@ _KNOWN_LAYERS = (
 
 def _ruled(rule: tuple, default: Any = MISSING, *, at_most: str | None = None, omittable: bool = False) -> Any:
     """A field governed by ``rule``; an ``omittable`` field may be left out of a document."""
-    return field(default=default, metadata={"rule": rule, "at_most": at_most, "omittable": omittable})
+    return Field(default, {"rule": rule, "at_most": at_most, "omittable": omittable})
 
 
-@dataclass(frozen=True)
+@record
 class CoverageProfile:
     """Breadth of the dataset across countries, industries, and standard layers."""
 
@@ -142,7 +142,7 @@ class CoverageProfile:
     external_data_flag: int = _ruled(_FLAG, 0)  # 1 when third-party data is mixed in
 
 
-@dataclass(frozen=True)
+@record
 class EvidenceItem:
     """A single provenance pointer with audit and trace quality in [0, 1]."""
 
@@ -152,7 +152,7 @@ class EvidenceItem:
     traceability: float = _ruled(_UNIT)
 
 
-@dataclass(frozen=True)
+@record
 class RecognitionProfile:
     """External recognition events per year and per-event confidence."""
 
@@ -160,7 +160,7 @@ class RecognitionProfile:
     single_event_confidence: float = _ruled(_OPEN_UNIT)
 
 
-@dataclass(frozen=True)
+@record
 class TemporalProfile:
     """Age of the underlying data and the decay rate applied to it."""
 
@@ -168,7 +168,7 @@ class TemporalProfile:
     decay_rate: float = _ruled(_POSITIVE)
 
 
-@dataclass(frozen=True)
+@record
 class AnnotationStats:
     """Who produced the labels and how consistent the producers were."""
 
@@ -179,7 +179,7 @@ class AnnotationStats:
     machine_machine_deviation: float = _ruled(_NON_NEGATIVE)
 
 
-@dataclass(frozen=True)
+@record
 class AgilityStats:
     """Observed accuracy gain relative to the share of records changed."""
 
@@ -188,7 +188,7 @@ class AgilityStats:
     epsilon: float = _ruled(_POSITIVE, 1e-6, omittable=True)  # guards the ratio when change_proportion is 0
 
 
-@dataclass(frozen=True)
+@record
 class SafetyAudit:
     """Harmful-content audit tallies."""
 
@@ -196,7 +196,7 @@ class SafetyAudit:
     total_rows: int = _ruled(_POSITIVE)
 
 
-@dataclass(frozen=True)
+@record
 class GovernanceStats:
     """Human oversight counts across the dataset's production pipeline."""
 
@@ -213,7 +213,7 @@ class GovernanceStats:
     role_relations_total: int = _ruled(_POSITIVE)
 
 
-@dataclass(frozen=True)
+@record
 class SamplingInputs:
     """Pre-computed sampling evidence: size, saturation threshold, share spread."""
 
@@ -222,7 +222,7 @@ class SamplingInputs:
     share_deviation: float = _ruled(_NON_NEGATIVE)
 
 
-@dataclass(frozen=True)
+@record
 class DatasetManifest:
     """Everything the scoring engine needs to know about one dataset."""
 
@@ -244,7 +244,7 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WeightConfig:
     """Component mixing coefficients plus per-metric weights and applicability.
 
@@ -257,7 +257,7 @@ class WeightConfig:
     applicability: Mapping[MetricId, bool]
 
 
-@dataclass(frozen=True)
+@record
 class SubScore:
     """One evaluated leaf metric; ``value`` is absent when not applicable."""
 
@@ -267,14 +267,14 @@ class SubScore:
     inputs_digest: str
 
 
-@dataclass(frozen=True)
+@record
 class StrideReport:
     """Full scoring result for one manifest under one weight configuration."""
 
     sub_scores: tuple[SubScore, ...]
     component_scores: Mapping[ComponentId, float]
     trust: float
-    config_snapshot: WeightConfig = field(metadata={"key": "config"})  # its document key
+    config_snapshot: WeightConfig = Field(metadata={"key": "config"})  # its document key
     manifest_digest: str
 
     def sub_score(self, metric_id: MetricId) -> SubScore:
@@ -284,7 +284,7 @@ class StrideReport:
         raise KeyError(metric_id.value)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A single validation finding, addressed by dotted field path."""
 
@@ -320,9 +320,12 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
     as given.  The operation is idempotent: configurations whose
     applicable weights already sum to one pass through unchanged.
 
-    Raises :class:`SchemaError` on negative weights, a component with no
-    applicable metric, or applicable weights summing to zero.
+    Raises :class:`SchemaError` on anything but a :class:`WeightConfig`,
+    negative weights, a component with no applicable metric, or
+    applicable weights summing to zero.
     """
+    if not isinstance(config, WeightConfig):
+        raise SchemaError(f"config: expected a WeightConfig, got {type(config).__name__}")
     for metric, code in METRIC_CODES:
         if metric not in config.weights:
             raise SchemaError(f"weights: missing entry for {code}")
@@ -375,15 +378,18 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
 def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
     """Collect every invariant violation in ``manifest``.
 
+    Raises :class:`SchemaError` on anything but a :class:`DatasetManifest`.
     Returns an empty list for a well-formed manifest.  Violations are
     reported as data rather than raised, so callers can surface all of
     them at once.  The rules are the ones declared on the fields of the
-    manifest's dataclasses, checked in field order, section by section,
+    manifest's record classes, checked in field order, section by section,
     by a function built from those declarations on first use; absent
     optional sections are skipped.  A NaN, an infinity or an integer
     beyond float range in a float field is reported as not finite in
     place of that field's rule.
     """
+    if not isinstance(manifest, DatasetManifest):
+        raise SchemaError(f"manifest: expected a DatasetManifest, got {type(manifest).__name__}")
     found: list[Violation] = []
     _rule_check(type(manifest))(manifest, "", None, found)
     # Unlike the at_most pairs, the layer count is compared whatever the two fields hold.
@@ -413,12 +419,6 @@ def _prefix(where: str, index: int | None) -> str:
     if index is not None:
         return f"{where}[{index}]."
     return where + "." if where else ""
-
-
-def _compiled(name: str, lines: list[str], namespace: dict) -> Callable:
-    """The function ``name`` that ``lines`` define, compiled with ``namespace`` as its globals."""
-    exec(compile("\n".join(lines), f"<stride {name}>", "exec"), namespace)
-    return namespace[name]
 
 
 _CHECKS: dict[type, Callable] = {}  # rule checks by class, built on first use
@@ -472,7 +472,7 @@ def _rule_check(cls: type) -> Callable:
     for n, (spec, tp, _) in enumerate(_field_plan(cls)):
         many = get_origin(tp) is tuple
         item = get_args(tp)[0] if many else tp
-        if is_dataclass(item):
+        if hasattr(item, "__record_fields__"):
             namespace[f"c{n}"] = _rule_check(item)
             sections.append((spec.name, n, many))
             continue
@@ -511,7 +511,7 @@ def _field_plan(cls: type) -> tuple[tuple, ...]:
     """
     hints = get_type_hints(cls)
     plan = []
-    for spec in fields(cls):
+    for spec in cls.__record_fields__:
         tp = hints[spec.name]
         nullable = type(None) in get_args(tp)
         plan.append((spec, get_args(tp)[0] if nullable else tp, nullable))

@@ -45,11 +45,11 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO
 
+from ._records import record
 from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError, StoreError, StrideError
 from .io import (
@@ -69,7 +69,7 @@ DEFAULT_STORE_ENV = "STRIDE_STORE"
 DEFAULT_STORE_PATH = ".stride-runs"
 
 
-@dataclass(frozen=True)
+@record
 class RunRecord:
     """One persisted scoring run."""
 

@@ -46,11 +46,11 @@ import random
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
+from ._records import record
 from .errors import ComputationError, SchemaError, _is_finite, _shown
 
 DEFAULT_BINS = 10
@@ -70,7 +70,7 @@ if array("I").itemsize != 4:
     raise ImportError("stride.sampling needs array('I') items of 4 bytes")
 
 
-@dataclass(frozen=True)
+@record
 class PopulationRecord:
     """One population member and its criterion values."""
 
@@ -78,7 +78,7 @@ class PopulationRecord:
     criteria: Mapping[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class Distribution:
     """Relative frequencies of one criterion over an ordered category list."""
 
@@ -87,7 +87,7 @@ class Distribution:
     probabilities: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SaturationPoint:
     """Sample-size-to-divergence observation on a saturation curve."""
 
@@ -95,7 +95,7 @@ class SaturationPoint:
     divergence: float
 
 
-@dataclass(frozen=True)
+@record
 class SelectionResult:
     """Outcome of greedy representative-sample selection."""
 
@@ -111,7 +111,7 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _Binning:
     kind: str  # "categorical" | "numeric" | "multilabel"
     categories: tuple[str, ...]
@@ -585,6 +585,8 @@ def select_representative_sample(
     result: the skipped trials could not have been the first to improve.
     """
     n = len(population)
+    if isinstance(criteria, str):
+        raise SchemaError(f"criteria must be a sequence of criterion names, got the string {criteria!r}")
     if not criteria:
         raise SchemaError("at least one criterion is required")
     if not _is_int(k):
@@ -598,6 +600,10 @@ def select_representative_sample(
             raise SchemaError(f"max_swaps must be an integer, got {max_swaps!r}")
         if max_swaps < 0:
             raise SchemaError(f"max_swaps must be >= 0, got {_shown(max_swaps)}")
+    first: dict[str, int] = {}  # each id's first index, as the population readers refuse a repeat
+    for index, item in enumerate(population):
+        if first.setdefault(item.record_id, index) != index:
+            raise SchemaError(f"population[{index}].record_id: duplicate id {item.record_id!r}")
 
     columns = [_bin_column(population, criterion, bins) for criterion in criteria]
     population_probs = [

@@ -20,9 +20,9 @@ supported version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._records import record
 from .digests import _splice, _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError, _is_finite
 from .io import manifest_to_dict
@@ -59,7 +59,8 @@ def sigmoid(z: float) -> float:
     """Logistic function, kept strictly inside (0, 1) even at extreme inputs.
 
     Raises :class:`ComputationError` for NaN and for an integer beyond
-    float range; ``±inf`` give the clamped endpoints.
+    float range, and :class:`SchemaError` for a value that is not a
+    number; ``±inf`` give the clamped endpoints.
     """
     if z != z:
         raise ComputationError("sigmoid input is NaN")
@@ -72,6 +73,8 @@ def sigmoid(z: float) -> float:
             value = expz / (1.0 + expz)
     except OverflowError:  # an integer too large for a float
         raise ComputationError("sigmoid input is beyond float range") from None
+    except TypeError:  # not ordered against 0, or not convertible to float
+        raise SchemaError(f"sigmoid input must be a number, got {type(z).__name__}") from None
     if value == 1.0:
         return math.nextafter(1.0, 0.0)
     if value == 0.0:
@@ -297,7 +300,7 @@ def role_separation(stats: GovernanceStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ComponentTerm:
     """One applicable metric's share of a component score."""
 
@@ -307,7 +310,7 @@ class ComponentTerm:
     contribution: float
 
 
-@dataclass(frozen=True)
+@record
 class ComponentBreakdown:
     """A component score with its renormalised weighted terms."""
 

@@ -48,7 +48,7 @@ EXPORTS = {
 }
 SUBMODULES = ("delta", "digests", "errors", "io", "model", "runstore", "sampling", "scoring")
 
-VALIDATE = {"stride.errors", "stride.io", "stride.model"}
+VALIDATE = {"stride._records", "stride.errors", "stride.io", "stride.model"}
 SCORE = VALIDATE | {"stride.scoring", "stride.digests", "stride.runstore"}
 
 _PROBE = """
@@ -112,6 +112,8 @@ def test_each_subcommand_loads_only_its_modules(inputs, tmp_path, monkeypatch, c
         code, loaded = json.loads(_fresh(_PROBE, *argv, store=store))
         assert code == 0, argv
         assert {name for name in loaded if name.split(".")[0] == "stride"} == {"stride", "stride.cli"} | expected, argv
+        # Record classes are built without dataclasses, whose import pulls in inspect.
+        assert not {"dataclasses", "inspect"} & set(loaded), argv
 
 
 # The codecs and rule checks built so far: decoders by type, encoders and checks

@@ -161,6 +161,19 @@ class TestWeightConfigValidation:
 
 
 class TestManifestValidation:
+    @pytest.mark.parametrize("value, name", [("x", "str"), (None, "NoneType"), ({}, "dict")])
+    def test_the_gates_refuse_what_is_not_their_type(self, luxshare_manifest, equal_config, value, name):
+        with pytest.raises(SchemaError, match=f"^manifest: expected a DatasetManifest, got {name}$"):
+            validate_manifest(value)
+        with pytest.raises(SchemaError, match=f"^manifest: expected a DatasetManifest, got {name}$"):
+            score_dataset(value, equal_config)
+        with pytest.raises(SchemaError, match=f"^config: expected a WeightConfig, got {name}$"):
+            validate_weight_config(value)
+        with pytest.raises(SchemaError, match=f"^config: expected a WeightConfig, got {name}$"):
+            score_dataset(luxshare_manifest, value)
+        with pytest.raises(SchemaError, match="^manifest: expected a DatasetManifest, got CoverageProfile$"):
+            validate_manifest(luxshare_manifest.coverage)
+
     def test_case_study_manifest_is_clean(self, luxshare_manifest):
         assert validate_manifest(luxshare_manifest) == []
 

@@ -449,6 +449,16 @@ class TestSelection:
         with pytest.raises(SchemaError, match="at least one criterion"):
             select_representative_sample(industry_population, 5, [], seed=0)
 
+    def test_criteria_given_as_a_string_are_refused(self, industry_population):
+        # Read as a sequence, "ab" would name the criteria "a" and "b".
+        with pytest.raises(SchemaError, match="^criteria must be a sequence of criterion names, got the string 'ab'$"):
+            select_representative_sample(_records(["x", "y", "x"], "a"), 1, "ab", seed=0)
+
+    def test_a_repeated_record_id_is_refused_as_the_readers_refuse_it(self):
+        population = [PopulationRecord(record_id, {"c": "x"}) for record_id in ("r", "r", "q")]
+        with pytest.raises(SchemaError, match="^population\\[1\\].record_id: duplicate id 'r'$"):
+            select_representative_sample(population, 2, ["c"], seed=0)
+
 
 # The four entry points, each on one criterion, with ``bins`` and ``seed`` given.
 HUGE = 10**5000  # past the interpreter's int-to-string limit of 4300 digits

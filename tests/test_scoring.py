@@ -94,6 +94,14 @@ class TestSigmoid:
         with pytest.raises(ComputationError, match="beyond float range"):
             sigmoid(10**400)
 
+    @pytest.mark.parametrize("value, name", [("1", "str"), (None, "NoneType"), ([1], "list"), (1j, "complex")])
+    def test_a_value_that_is_not_a_number_is_refused(self, value, name):
+        with pytest.raises(SchemaError, match=f"^sigmoid input must be a number, got {name}$"):
+            sigmoid(value)
+
+    def test_a_bool_reads_as_its_int(self):
+        assert sigmoid(True) == sigmoid(1) and sigmoid(False) == 0.5
+
 
 class TestLeafMetrics:
     def test_inclusiveness_full_coverage_without_external_data(self):
