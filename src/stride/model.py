@@ -320,9 +320,10 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
     as given.  The operation is idempotent: configurations whose
     applicable weights already sum to one pass through unchanged.
 
-    Raises :class:`SchemaError` on anything but a :class:`WeightConfig`,
-    negative weights, a component with no applicable metric, or
-    applicable weights summing to zero.
+    Raises :class:`SchemaError` on anything but a :class:`WeightConfig`, a
+    weight or coefficient that is not a finite non-negative number, an
+    ``alpha`` that is not a tuple or list of four, a component with no
+    applicable metric, or applicable weights summing to zero.
     """
     if not isinstance(config, WeightConfig):
         raise SchemaError(f"config: expected a WeightConfig, got {type(config).__name__}")
@@ -332,17 +333,13 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
         if metric not in config.applicability:
             raise SchemaError(f"applicability: missing entry for {code}")
         weight = config.weights[metric]
-        if not (type(weight) is float and _LO <= weight <= _HI or _is_finite(weight)):
-            raise SchemaError(f"weights.{code}: {_not_finite(weight)}")
-        if weight < 0:
-            raise SchemaError(f"weights.{code}: negative weight {weight!r}")
-    if len(config.alpha) != 4:
+        if not (type(weight) is float and 0 <= weight <= _HI):
+            _check_number(f"weights.{code}", weight, "weight")
+    if not isinstance(config.alpha, (tuple, list)) or len(config.alpha) != 4:
         raise SchemaError("alpha: expected exactly four coefficients")
     for (_, code), coefficient in zip(COMPONENT_CODES, config.alpha):
-        if not (type(coefficient) is float and _LO <= coefficient <= _HI or _is_finite(coefficient)):
-            raise SchemaError(f"alpha.{code}: {_not_finite(coefficient)}")
-        if coefficient < 0:
-            raise SchemaError(f"alpha.{code}: negative coefficient {coefficient!r}")
+        if not (type(coefficient) is float and 0 <= coefficient <= _HI):
+            _check_number(f"alpha.{code}", coefficient, "coefficient")
 
     weights: dict[MetricId, float] = {}
     for component, members in COMPONENT_METRICS.items():
@@ -370,6 +367,14 @@ def validate_weight_config(config: WeightConfig) -> WeightConfig:
     )
 
 
+def _check_number(path: str, value: object, what: str) -> None:
+    """Refuse a weight or coefficient ``value`` that is not a finite, non-negative int or float."""
+    if not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    if not _is_finite(value) or value < 0:
+        raise SchemaError(f"{path}: {_not_finite(value) or f'negative {what} {value!r}'}")
+
+
 # ---------------------------------------------------------------------------
 # Manifest validation
 # ---------------------------------------------------------------------------
@@ -386,7 +391,7 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
     by a function built from those declarations on first use; absent
     optional sections are skipped.  A NaN, an infinity or an integer
     beyond float range in a float field is reported as not finite in
-    place of that field's rule.
+    place of that field's rule (the check's ``strict`` mode is off).
     """
     if not isinstance(manifest, DatasetManifest):
         raise SchemaError(f"manifest: expected a DatasetManifest, got {type(manifest).__name__}")
@@ -430,14 +435,14 @@ def _rule_test(test: str) -> Callable:
     return eval(f"lambda value: {test}", {"STANDARD_LAYERS": STANDARD_LAYERS})
 
 
-def _fault(name: str, finite: bool, test: str, describe: Callable) -> Callable:
-    """``fault(value, where, index, found, position=None)``: record the violation ``value`` makes, if any.
+def _fault(name: str, test: str, describe: Callable) -> Callable:
+    """``fault(value, where, index, found, finite, position=None)``: record the violation ``value`` makes, if any.
 
-    It returns ``(name,)`` when it records one for a field, and ``()``
-    otherwise; ``position`` places an item of a tuple field.
+    A value not ``finite`` breaks that first.  It returns ``(name,)`` when
+    it records one for a field; ``position`` places an item of a tuple.
     """
 
-    def fault(value: object, where: str, index: int | None, found: list, position: int | None = None) -> tuple:
+    def fault(value: object, where: str, index: int | None, found: list, finite: bool, position: int | None = None):
         message = _not_finite(value) if finite else None
         if message is None and not _rule_test(test)(value):
             message = describe(value)
@@ -451,23 +456,25 @@ def _fault(name: str, finite: bool, test: str, describe: Callable) -> Callable:
 
 
 def _rule_check(cls: type) -> Callable:
-    """``cls``'s rule check, ``check(obj, where, index, found)``, built on first use.
+    """``cls``'s rule check, ``check(obj, where, index, found, strict=False)``, built on first use.
 
     It appends to ``found`` each rule that ``obj`` or one of its sections
     breaks, in the order of the fields: the values ``cls`` declares rules
     on (and its floats), then its sections, then its at_most pairs; no
-    manifest class declares a value after a section.  It is compiled from
-    one inline test per value, which passes a value that keeps its rule, a
-    float being finite in the same test; only a value that fails it is
-    judged again by its fault.  The source is kept short, since compiling
-    it is most of the cost of a first use: ``o`` is the object, ``w`` and
-    ``i`` its place, ``L`` and ``H`` the bounds of float range, ``f<n>``
-    the faults and ``c<n>`` the sections' checks.
+    manifest class declares a value after a section.  A float, and in
+    ``strict`` mode an int, must be finite.  It is compiled from one inline
+    test per value, which passes a value that keeps its rule, a number
+    being of its field's type and within float range in the same test;
+    only a value that fails it is judged again by its fault.  The source
+    is kept short, since compiling it is most of the cost of a first use:
+    ``o`` is the object, ``w`` and ``i`` its place, ``s`` the mode, ``L``
+    and ``H`` the bounds of float range, ``f<n>`` the faults and ``c<n>``
+    the sections' checks.
     """
     if cls in _CHECKS:
         return _CHECKS[cls]
     namespace = {"Violation": Violation, "_prefix": _prefix, "L": _LO, "H": _HI, "STANDARD_LAYERS": STANDARD_LAYERS}
-    lines = ["def check(o, w, i, found):", "    failed = ()"]
+    lines = ["def check(o, w, i, found, s=False):", "    failed = ()"]
     sections = []
     for n, (spec, tp, _) in enumerate(_field_plan(cls)):
         many = get_origin(tp) is tuple
@@ -479,20 +486,22 @@ def _rule_check(cls: type) -> Callable:
         test, describe = spec.metadata.get("rule") or ("True", None)
         if test == "True" and item is not float:
             continue
-        namespace[f"f{n}"] = _fault(spec.name, item is float, test, describe)
-        fast = f"type(value) is float and L <= value <= H and {test}" if item is float else test
+        namespace[f"f{n}"] = _fault(spec.name, test, describe)
+        fast = f"type(value) is {item.__name__} and L <= value <= H and {test}" if item in (int, float) else test
+        finite = {float: "True", int: "s"}.get(item, "False")
         if many:
             lines.append(f"    for p, value in enumerate(o.{spec.name}):")
-            lines.append(f"        if not ({fast}): f{n}(value, w, i, found, p)")
+            lines.append(f"        if not ({fast}): f{n}(value, w, i, found, {finite}, p)")
         else:
-            lines += [f"    value = o.{spec.name}", f"    if not ({fast}): failed += f{n}(value, w, i, found)"]
+            lines.append(f"    value = o.{spec.name}")
+            lines.append(f"    if not ({fast}): failed += f{n}(value, w, i, found, {finite})")
     if sections:
         lines.append("    prefix = _prefix(w, i)")
     for field, n, many in sections:
         if many:
-            lines.append(f"    for p, item in enumerate(o.{field}): c{n}(item, prefix + {field!r}, p, found)")
+            lines.append(f"    for p, item in enumerate(o.{field}): c{n}(item, prefix + {field!r}, p, found, s)")
         else:
-            lines.append(f"    if o.{field} is not None: c{n}(o.{field}, prefix + {field!r}, None, found)")
+            lines.append(f"    if o.{field} is not None: c{n}(o.{field}, prefix + {field!r}, None, found, s)")
     for spec, _, _ in _field_plan(cls):
         if spec.metadata.get("at_most"):
             field, bound = spec.name, spec.metadata["at_most"]

@@ -251,7 +251,7 @@ def _parsed_record(text: str, name: str) -> dict:
 def resolve_run_id(run_id: str, store_path: Path | str) -> str:
     """Expand a unique run-id prefix to the full id."""
     store = Path(store_path)
-    if not run_id or any(c not in "0123456789abcdef" for c in run_id):
+    if not isinstance(run_id, str) or not run_id or any(c not in "0123456789abcdef" for c in run_id):
         raise StoreError(f"run id must be a hex string, got {run_id!r}")
     if (store / f"{run_id}.json").exists():
         return run_id

@@ -10,11 +10,14 @@ component sum, with the self-serving component entering negatively:
 Metrics that cannot be evaluated for a given manifest (no evidence
 items, no annotation block, a too-short accuracy series, nothing to
 disclose) return ``None`` instead of a number; the component step then
-renormalises the remaining weights.  All arithmetic is plain double
-precision, and rounding is left to presentation code.  Sums are folded
-left to right from 0.0 rather than by ``sum()``, which compensates float
-sums from Python 3.12 on, so scores and run ids are the same on every
-supported version.
+renormalises the remaining weights.  A metric that takes a manifest
+section refuses it, with :class:`ComputationError`, where it breaks a
+field rule of :mod:`stride.model` on a field the metric reads; once the
+rules hold, no ratio exceeds 1 and no result leaves float range.  All
+arithmetic is plain double precision, and rounding is left to
+presentation code.  Sums are folded left to right from 0.0 rather than
+by ``sum()``, which compensates float sums from Python 3.12 on, so
+scores and run ids are the same on every supported version.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .model import (
     SubScore,
     TemporalProfile,
     WeightConfig,
+    _prefix,
+    _rule_check,
     validate_manifest,
     validate_weight_config,
 )
@@ -95,43 +100,33 @@ def _require_finite(name: str, value: float) -> None:
         raise ComputationError(f"{name} must be finite, got {value!r}")
 
 
-def _finite_result(value: float, what: str) -> float:
-    """``value``, refused when a tiny divisor has taken ``what`` past float range."""
-    if not _is_finite(value):
-        raise ComputationError(f"{what} is beyond float range")
-    return value
+def _guard(where: str, stats: object, reads: tuple[str, ...] = (), index: int | None = None) -> None:
+    """Refuse ``stats`` if it breaks a rule of its class on a field in ``reads``, or on any field.
 
-
-def _require_finite_fields(section: str, stats: object) -> None:
-    """:func:`_require_finite` on each number field of a manifest section."""
-    for name, value in vars(stats).items():
-        if isinstance(value, (int, float)) and not _is_finite(value):
-            _require_finite(f"{section}.{name}", value)
+    ``validate_manifest``'s check runs in strict mode, so an int must be
+    finite too.  A field read that is not finite is named first, else the
+    first rule broken, as ``<path> <message>``.
+    """
+    found: list = []
+    _rule_check(type(stats))(stats, where, index, found, True)
+    if found and reads:
+        found = [violation for violation in found if violation.path.rpartition(".")[2] in reads]
+    if found:
+        for name in reads or vars(stats):
+            value = getattr(stats, name)
+            if isinstance(value, (int, float)):
+                _require_finite(_prefix(where, index) + name, value)
+        raise ComputationError(f"{found[0].path} {found[0].message}")
 
 
 def inclusiveness_materiality(coverage: CoverageProfile) -> float:
     """Geometric mean of coverage ratios and the external-data factor."""
-    if coverage.countries_total <= 0:
-        raise ComputationError("coverage.countries_total must be positive")
-    if coverage.industries_total <= 0:
-        raise ComputationError("coverage.industries_total must be positive")
-    if coverage.standard_layers_total <= 0:
-        raise ComputationError("coverage.standard_layers_total must be positive")
-    if coverage.countries_covered < 0:  # a negative product has a complex fourth root
-        raise ComputationError("coverage.countries_covered must be non-negative")
-    if coverage.industries_covered < 0:
-        raise ComputationError("coverage.industries_covered must be non-negative")
-    _require_finite_fields("coverage", coverage)
-    if coverage.external_data_flag not in (0, 1):  # exp() of a large flag overflows
-        raise ComputationError(f"coverage.external_data_flag must be 0 or 1, got {coverage.external_data_flag!r}")
+    _guard("coverage", coverage)
     geographic = coverage.countries_covered / coverage.countries_total
     industry = coverage.industries_covered / coverage.industries_total
     layers = len(coverage.standard_layers_covered) / coverage.standard_layers_total
     external = 1.0 / (1.0 + math.exp(coverage.external_data_flag - 0.5))
-    product = geographic * industry * layers * external
-    if not _is_finite(product):
-        raise ComputationError("coverage: the ratios multiply past float range")
-    return product ** 0.25
+    return (geographic * industry * layers * external) ** 0.25
 
 
 def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
@@ -140,49 +135,39 @@ def auditability_traceability(evidence: Sequence[EvidenceItem]) -> float | None:
         return None
     total = 0.0
     for index, item in enumerate(evidence):
-        _require_finite_fields(f"evidence[{index}]", item)
+        _guard("evidence", item, index=index)
         total += (item.auditability + item.traceability) / 2.0
-    if not _is_finite(total):
-        raise ComputationError("evidence: the item scores add up past float range")
     return total / len(evidence)
 
 
 def exemplary_reference(recognition: RecognitionProfile) -> float:
     """Probability that at least one of n recognition events holds up."""
-    if recognition.recognitions_per_year < 0:
-        raise ComputationError("recognition.recognitions_per_year must be non-negative")
-    if not 0 < recognition.single_event_confidence < 1:
-        raise ComputationError("recognition.single_event_confidence must be strictly between 0 and 1")
-    _require_finite_fields("recognition", recognition)
+    _guard("recognition", recognition)
     return 1.0 - (1.0 - recognition.single_event_confidence) ** recognition.recognitions_per_year
 
 
 def time_relevance(temporal: TemporalProfile) -> float:
     """Exponential decay of relevance with data age."""
-    if temporal.lag_years < 0:
-        raise ComputationError("temporal.lag_years must be non-negative")
-    if temporal.decay_rate <= 0:
-        raise ComputationError("temporal.decay_rate must be positive")
-    _require_finite_fields("temporal", temporal)
+    _guard("temporal", temporal)
     return math.exp(-temporal.decay_rate * temporal.lag_years)
 
 
 def statistical_methodology(sample_size: int, saturation_threshold: int, share_deviation: float) -> float:
     """Even blend (``METHODOLOGY_WEIGHTS``) of sample saturation and share-spread representativeness.
 
-    The representativeness term is ``1 - share_deviation``, taken as given,
+    The arguments are held to the rules of :class:`SamplingInputs`.  The
+    representativeness term is ``1 - share_deviation``, taken as given,
     so the result goes below 0 when ``share_deviation`` exceeds 1:
     ``statistical_methodology(10, 10, 7.0)`` is -2.5.
     """
-    if saturation_threshold <= 0:
-        raise ComputationError("saturation_threshold must be positive")
-    _require_finite("sample_size", sample_size)
-    _require_finite("saturation_threshold", saturation_threshold)
-    _require_finite("share_deviation", share_deviation)
-    saturation = min(1.0, sample_size / saturation_threshold)
-    representativeness = 1.0 - share_deviation
-    blend = METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
-    return _finite_result(blend, "sample_size / saturation_threshold")
+    return _methodology(SamplingInputs(sample_size, saturation_threshold, share_deviation))
+
+
+def _methodology(inputs: SamplingInputs) -> float:
+    _guard("", inputs)
+    saturation = min(1.0, inputs.sample_size / inputs.saturation_threshold)
+    representativeness = 1.0 - inputs.share_deviation
+    return METHODOLOGY_WEIGHTS[0] * saturation + METHODOLOGY_WEIGHTS[1] * representativeness
 
 
 def ground_truth(stats: AnnotationStats) -> float:
@@ -190,65 +175,43 @@ def ground_truth(stats: AnnotationStats) -> float:
 
     The deviation terms add as given, so the result can exceed 1.
     """
-    if stats.tenure_cap_years <= 0:
-        raise ComputationError("annotation.tenure_cap_years must be positive")
-    _require_finite_fields("annotation", stats)
+    _guard("annotation", stats)
     tenure = min(1.0, stats.mean_tenure_years / stats.tenure_cap_years)
     human, tenured, human_machine, machine_machine = GROUND_TRUTH_WEIGHTS
-    blend = (
+    return (
         human * stats.human_fraction
         + tenured * tenure
         + human_machine * stats.human_machine_deviation
         + machine_machine * stats.machine_machine_deviation
     )
-    return _finite_result(blend, "annotation.mean_tenure_years / annotation.tenure_cap_years")
 
 
 def agility(stats: AgilityStats) -> float:
     """Accuracy gain per unit of change, clamped into [0, 1]."""
-    if stats.epsilon <= 0:
-        raise ComputationError("agility.epsilon must be positive")
-    _require_finite_fields("agility", stats)
-    if stats.change_proportion + stats.epsilon == 0:
-        raise ComputationError("agility.change_proportion + agility.epsilon must not be zero")
+    _guard("agility", stats)
     ratio = stats.accuracy_gain / (stats.change_proportion + stats.epsilon)
     return min(1.0, max(0.0, ratio))
 
 
 def security_safety(audit: SafetyAudit) -> float:
     """Share of audited rows free of harmful content."""
-    if audit.total_rows <= 0:
-        raise ComputationError("safety.total_rows must be positive")
-    _require_finite_fields("safety", audit)
-    return _finite_result(1.0 - audit.harmful_rows / audit.total_rows, "safety.harmful_rows / safety.total_rows")
+    _guard("safety", audit)
+    return 1.0 - audit.harmful_rows / audit.total_rows
 
 
 def human_governed(stats: GovernanceStats) -> float:
-    """Share of governed cases that saw a human intervention."""
-    if stats.governed_cases <= 0:
-        raise ComputationError("governance.governed_cases must be positive")
-    _require_finite("governance.interventions", stats.interventions)
-    _require_finite("governance.governed_cases", stats.governed_cases)
-    return _finite_result(
-        stats.interventions / stats.governed_cases, "governance.interventions / governance.governed_cases"
-    )
+    """Share of governed cases that saw a human intervention.
+
+    Each governance metric reads only the fields ``_METRICS`` lists for it.
+    """
+    _guard("governance", stats, _METRICS[MetricId.HUMAN_GOVERNED][0])
+    return stats.interventions / stats.governed_cases
 
 
 def domain_expert(stats: GovernanceStats) -> float:
     """Mean of expert-involvement share and expert-staffed stage share."""
-    if stats.experts_total <= 0:
-        raise ComputationError("governance.experts_total must be positive")
-    if stats.stages_total <= 0:
-        raise ComputationError("governance.stages_total must be positive")
-    _require_finite("governance.experts_involved", stats.experts_involved)
-    _require_finite("governance.experts_total", stats.experts_total)
-    _require_finite("governance.stages_with_experts", stats.stages_with_experts)
-    _require_finite("governance.stages_total", stats.stages_total)
-    experts = stats.experts_involved / stats.experts_total
-    stages = stats.stages_with_experts / stats.stages_total
-    if not _is_finite(experts + stages):
-        raise ComputationError("governance: the expert shares add up past float range")
-    return (experts + stages) / 2.0
+    _guard("governance", stats, _METRICS[MetricId.DOMAIN_EXPERT][0])
+    return (stats.experts_involved / stats.experts_total + stats.stages_with_experts / stats.stages_total) / 2.0
 
 
 def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
@@ -271,28 +234,16 @@ def iterative_feedback(accuracy_series: Sequence[float]) -> float | None:
 
 def transparency(stats: GovernanceStats) -> float | None:
     """Share of required assumptions disclosed; ``None`` when none are required."""
-    if stats.assumptions_required < 0:
-        raise ComputationError("governance.assumptions_required must be non-negative")
+    _guard("governance", stats, _METRICS[MetricId.TRANSPARENCY][0])
     if stats.assumptions_required == 0:
         return None
-    _require_finite("governance.assumptions_disclosed", stats.assumptions_disclosed)
-    _require_finite("governance.assumptions_required", stats.assumptions_required)
-    return _finite_result(
-        stats.assumptions_disclosed / stats.assumptions_required,
-        "governance.assumptions_disclosed / governance.assumptions_required",
-    )
+    return stats.assumptions_disclosed / stats.assumptions_required
 
 
 def role_separation(stats: GovernanceStats) -> float:
     """Share of role relations kept separated."""
-    if stats.role_relations_total <= 0:
-        raise ComputationError("governance.role_relations_total must be positive")
-    _require_finite("governance.role_relations_separated", stats.role_relations_separated)
-    _require_finite("governance.role_relations_total", stats.role_relations_total)
-    return _finite_result(
-        stats.role_relations_separated / stats.role_relations_total,
-        "governance.role_relations_separated / governance.role_relations_total",
-    )
+    _guard("governance", stats, _METRICS[MetricId.ROLE_SEPARATION][0])
+    return stats.role_relations_separated / stats.role_relations_total
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +292,8 @@ def _fold(
             raw_total += weights[sub.metric_id]
     except OverflowError:  # an int weight too large for a float
         raw_total = math.inf
+    except KeyError:  # a weight missing from an unvalidated config
+        raise SchemaError(f"weights: missing entry for {sub.metric_id.value}") from None
     if not _is_finite(raw_total):  # a config that validate_weight_config did not see
         raise ComputationError(f"component {component_id.value}: applicable weights do not sum to a finite number")
     if raw_total == 0:
@@ -372,9 +325,9 @@ def component_score(
 
     Weights are taken from ``config`` and renormalised over the
     sub-scores that are actually applicable, so listed term weights
-    always sum to one.  ``config`` need not be validated: weights that
-    do not sum to a finite number, or a total past float range, raise
-    :class:`ComputationError`.
+    always sum to one.  ``config`` need not be validated: a missing weight
+    raises :class:`SchemaError`, and weights that do not sum to a finite
+    number, or a total past float range, :class:`ComputationError`.
     """
     terms, total = _fold(component_id, {sub.metric_id: sub for sub in sub_scores}, config.weights)
     return ComponentBreakdown(component_id, tuple(ComponentTerm(*term) for term in terms), total)
@@ -410,12 +363,16 @@ def trust_score(
 ) -> float:
     """Squash the weighted component sum; self-serving counts against trust.
 
-    Raises :class:`ComputationError` for a component or coefficient that
-    is an integer beyond float range, and, as :func:`sigmoid` does, for a
-    NaN sum.
+    Raises :class:`SchemaError` for an ``alpha`` that is not four
+    coefficients, and :class:`ComputationError` for a component or
+    coefficient that is an integer beyond float range and, as
+    :func:`sigmoid` does, for a NaN sum.
     """
-    a_c, a_r, a_i, a_s = alpha
-    for name, value in zip(_TRUST_TERMS, (credibility, reliability, intimacy, self_serving, *alpha)):
+    try:
+        a_c, a_r, a_i, a_s = alpha
+    except (TypeError, ValueError):  # not iterable, or not four items
+        raise SchemaError("alpha: expected exactly four coefficients") from None
+    for name, value in zip(_TRUST_TERMS, (credibility, reliability, intimacy, self_serving, a_c, a_r, a_i, a_s)):
         if isinstance(value, int) and not _is_finite(value):
             raise ComputationError(f"{name} is beyond float range")
     return sigmoid(a_c * credibility + a_r * reliability + a_i * intimacy - a_s * self_serving)
@@ -424,10 +381,6 @@ def trust_score(
 # ---------------------------------------------------------------------------
 # Whole-manifest scoring
 # ---------------------------------------------------------------------------
-
-
-def _sampled_methodology(inputs: SamplingInputs) -> float:
-    return statistical_methodology(inputs.sample_size, inputs.saturation_threshold, inputs.share_deviation)
 
 
 def _accuracy_feedback(stats: GovernanceStats) -> float | None:
@@ -444,7 +397,7 @@ _METRICS: dict[MetricId, tuple[str | tuple[str, ...], Callable[..., float | None
     MetricId.AUDITABILITY_TRACEABILITY: ("evidence", auditability_traceability),
     MetricId.EXEMPLARY_REFERENCE: ("recognition", exemplary_reference),
     MetricId.TIME_RELEVANCE: ("temporal", time_relevance),
-    MetricId.STATISTICAL_METHODOLOGY: ("sampling_inputs", _sampled_methodology),
+    MetricId.STATISTICAL_METHODOLOGY: ("sampling_inputs", _methodology),
     MetricId.GROUND_TRUTH: ("annotation", ground_truth),
     MetricId.AGILITY: ("agility", agility),
     MetricId.SECURITY_SAFETY: ("safety", security_safety),

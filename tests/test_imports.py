@@ -144,11 +144,13 @@ def test_codecs_are_built_on_first_use_by_the_commands_that_decode(inputs, tmp_p
     # Importing builds nothing, and sample and delta build none of the scoring codecs.
     # Only score builds the report writer's layouts; explain runs on a stored record below.
     run_id = "0" * 64
+    checks_built = {}
     for argv, expected in _commands(inputs, run_id):
         if argv[0] == "explain":
             continue
         after_import, code, built = json.loads(_fresh(_BUILT, *argv, store=tmp_path / "runs"))
         decoders, encoders, checks, writer = built
+        checks_built[argv[0]] = checks
         assert code == 0, argv
         assert after_import == [[], [], [], [False, False]], argv
         assert writer == [argv[0] == "score"] * 2, argv
@@ -159,6 +161,8 @@ def test_codecs_are_built_on_first_use_by_the_commands_that_decode(inputs, tmp_p
             assert ("Annotation" in decoders) == ("--annotations" in argv), argv
         if argv[0] == "validate":
             assert "DatasetManifest" in decoders and "DatasetManifest" in checks and encoders == [], argv
+    # The leaf metrics refuse their input through the rule checks that validate builds, and build none of their own.
+    assert checks_built["score"] == checks_built["validate"]
 
 
 def test_explain_builds_only_the_canonical_layout_to_check_its_record(inputs, tmp_path, monkeypatch, capsys):

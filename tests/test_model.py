@@ -108,6 +108,30 @@ class TestWeightConfigValidation:
         with pytest.raises(SchemaError, match=message):
             score_dataset(luxshare_manifest, _config(weights={AG: 10**400}))
 
+    @pytest.mark.parametrize(
+        "value, name", [("1.0", "str"), (None, "NoneType"), (1j, "complex"), ([1.0], "list")], ids=lambda v: str(v)
+    )
+    def test_a_weight_or_alpha_that_is_not_a_number_is_refused(self, luxshare_manifest, value, name):
+        # Each let a bare TypeError out before.
+        cases = [(_config(weights={IM: value}), "weights.IM"), (_config(alpha=(0.25, 0.25, value, 0.25)), "alpha.I")]
+        for config, path in cases:
+            for gate in (validate_weight_config, lambda config: score_dataset(luxshare_manifest, config)):
+                with pytest.raises(SchemaError) as caught:
+                    gate(config)
+                assert str(caught.value) == f"{path}: expected a number, got {name}"
+
+    @pytest.mark.parametrize("alpha", [5, None, 0.25, "abcd", (0.25,) * 3, [0.25] * 5])
+    def test_an_alpha_that_is_not_four_coefficients_is_refused(self, luxshare_manifest, alpha):
+        # A value that is not a sequence let a bare TypeError out before.
+        for gate in (validate_weight_config, lambda config: score_dataset(luxshare_manifest, config)):
+            with pytest.raises(SchemaError) as caught:
+                gate(_config(alpha=alpha))
+            assert str(caught.value) == "alpha: expected exactly four coefficients"
+
+    def test_a_bool_weight_or_alpha_reads_as_its_int(self):
+        as_bools = validate_weight_config(_config(weights={IM: True}, alpha=(True, 0.25, 0.25, False)))
+        assert as_bools == validate_weight_config(_config(weights={IM: 1}, alpha=(1, 0.25, 0.25, 0)))
+
     def test_component_with_no_applicable_metric_rejected(self):
         with pytest.raises(SchemaError, match="no applicable metric"):
             validate_weight_config(

@@ -143,6 +143,15 @@ class TestResolution:
         with pytest.raises(StoreError, match="must be a hex string"):
             resolve_run_id("../escape", tmp_path)
 
+    @pytest.mark.parametrize("run_id", [5, b"ab", ["a"], None], ids=["int", "bytes", "list", "none"])
+    def test_a_run_id_that_is_not_a_string_is_refused(self, report, tmp_path, run_id):
+        # An int or bytes id raised a bare TypeError before, and ["a"] was taken as a prefix.
+        save_run(report, tmp_path)
+        for call in (resolve_run_id, load_run):
+            with pytest.raises(StoreError) as caught:
+                call(run_id, tmp_path)
+            assert str(caught.value) == f"run id must be a hex string, got {run_id!r}"
+
     def test_missing_store_is_reported(self, tmp_path):
         with pytest.raises(StoreError, match="does not exist"):
             resolve_run_id("abc123", tmp_path / "never-created")

@@ -589,8 +589,14 @@ def test_non_finite_report_matches_the_oracle(tmp_path):
 
 def test_non_string_run_ids_match_the_oracle(tmp_path):
     engine.save_run(FIXTURE, tmp_path)
-    for run_id in (None, 7, ["a"]):
-        assert _outcome(engine.load_run, run_id, tmp_path) == _outcome(oracle.load_run, run_id, tmp_path)
+    assert _outcome(engine.load_run, None, tmp_path) == _outcome(oracle.load_run, None, tmp_path)
+    # Intended divergence: the oracle lets a TypeError out for an int id and
+    # takes ["a"] as a prefix; the engine refuses both as it refuses None.
+    assert _outcome(oracle.load_run, 7, tmp_path) == ("TypeError", "'int' object is not iterable")
+    assert _outcome(oracle.load_run, ["a"], tmp_path) == ("StoreError", "no run matches ['a']")
+    for run_id in (7, ["a"]):
+        refusal = ("StoreError", f"run id must be a hex string, got {run_id!r}")
+        assert _outcome(engine.load_run, run_id, tmp_path) == refusal
 
 
 # -- descriptors -----------------------------------------------------------------

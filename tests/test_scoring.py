@@ -375,7 +375,7 @@ class TestScoreDataset:
             score_dataset(manifest, equal_config)
 
     def test_zero_governed_cases_is_a_schema_error(self, luxshare_manifest, equal_config):
-        # The field rule refuses it, as validate does; the leaf metric keeps its own guard.
+        # The field rule refuses it, and the leaf metric refuses it through the same rule.
         governance = dataclasses.replace(luxshare_manifest.governance, interventions=0, governed_cases=0)
         manifest = dataclasses.replace(luxshare_manifest, governance=governance)
         with pytest.raises(SchemaError, match=r"^manifest validation failed: governance\.governed_cases: must be positive$"):
@@ -560,14 +560,15 @@ class TestIntegersBeyondFloatRangeAndNaN:
 
     @pytest.mark.parametrize("flag", [1e308, -1e308, 0.5])
     def test_inclusiveness_materiality_refuses_a_flag_other_than_0_or_1(self, flag):
-        # exp(1e308 - 0.5) overflowed before.
+        # exp(1e308 - 0.5) overflowed before.  The layer count is the rule's 5,
+        # since a count of 4 breaks its own rule, which is named first.
         with pytest.raises(ComputationError) as caught:
-            inclusiveness_materiality(CoverageProfile(3, 10, 3, 5, frozenset(), 4, flag))
+            inclusiveness_materiality(CoverageProfile(3, 10, 3, 5, frozenset(), 5, flag))
         assert str(caught.value) == f"coverage.external_data_flag must be 0 or 1, got {flag!r}"
 
 
 class TestOverflowFromFiniteFields:
-    """Finite fields whose arithmetic leaves float range, or the reals, are refused; none returns inf or a complex."""
+    """Finite fields whose arithmetic would leave float range, or the reals, break a rule, which the metric names."""
 
     @pytest.mark.parametrize(
         ("call", "message"),
@@ -582,19 +583,19 @@ class TestOverflowFromFiniteFields:
             ),
             (
                 lambda: inclusiveness_materiality(CoverageProfile(1e308, 1, 1e308, 1, frozenset({"global"}), 1, 0)),
-                "coverage: the ratios multiply past float range",
+                "coverage.standard_layers_total must be 5",
             ),
             (
                 lambda: auditability_traceability([EvidenceItem("e1", "doc://a", 1e308, 1e308)]),
-                "evidence: the item scores add up past float range",
+                "evidence[0].auditability must be in [0, 1], got 1e+308",
             ),
             (
                 lambda: agility(AgilityStats(0.5, -1e308, 1e308)),
-                "agility.change_proportion + agility.epsilon must not be zero",
+                "agility.change_proportion must be in [0, 1], got -1e+308",
             ),
             (
                 lambda: domain_expert(_governance(experts_involved=1e308, stages_with_experts=1e308, stages_total=1)),
-                "governance: the expert shares add up past float range",
+                "governance.experts_involved cannot exceed experts_total",
             ),
         ],
         ids=[
@@ -613,28 +614,28 @@ class TestOverflowFromFiniteFields:
 
 
 class TestTinyDivisors:
-    """A subnormal divisor takes a finite ratio past float range; each metric refuses it, naming the ratio."""
+    """A subnormal divisor would take a finite ratio past float range; each such input breaks a rule, which is named."""
 
     @pytest.mark.parametrize(
-        ("call", "ratio"),
+        ("call", "message"),
         [
-            (lambda: statistical_methodology(-1e308, 1e-320, 0.1), "sample_size / saturation_threshold"),
+            (lambda: statistical_methodology(-1e308, 1e-320, 0.1), "sample_size must be non-negative"),
             (
                 lambda: ground_truth(AnnotationStats(0.5, -1e308, 1e-320, 0.1, 0.1)),
-                "annotation.mean_tenure_years / annotation.tenure_cap_years",
+                "annotation.mean_tenure_years must be non-negative",
             ),
-            (lambda: security_safety(SafetyAudit(1e308, 1e-320)), "safety.harmful_rows / safety.total_rows"),
+            (lambda: security_safety(SafetyAudit(1e308, 1e-320)), "safety.harmful_rows cannot exceed total_rows"),
             (
                 lambda: human_governed(_governance(interventions=1, governed_cases=1e-320)),
-                "governance.interventions / governance.governed_cases",
+                "governance.interventions cannot exceed governed_cases",
             ),
             (
                 lambda: transparency(_governance(assumptions_disclosed=-1e308, assumptions_required=1e-320)),
-                "governance.assumptions_disclosed / governance.assumptions_required",
+                "governance.assumptions_disclosed must be non-negative",
             ),
             (
                 lambda: role_separation(_governance(role_relations_separated=1e10, role_relations_total=1e-320)),
-                "governance.role_relations_separated / governance.role_relations_total",
+                "governance.role_relations_separated cannot exceed role_relations_total",
             ),
         ],
         ids=[
@@ -646,14 +647,17 @@ class TestTinyDivisors:
             "role_separation",
         ],
     )
-    def test_ratio_beyond_float_range_is_refused(self, call, ratio):
+    def test_ratio_beyond_float_range_is_refused(self, call, message):
         with pytest.raises(ComputationError) as caught:
             call()
-        assert str(caught.value) == f"{ratio} is beyond float range"
+        assert str(caught.value) == message
 
     def test_a_ratio_past_one_still_saturates(self):
-        assert statistical_methodology(1e308, 1e-320, 0.1) == 0.5 + 0.5 * 0.9
         assert ground_truth(AnnotationStats(0.0, 1e308, 1e-320, 0.0, 0.0)) == 0.25
+        # Intended divergence: this returned 0.95 before; a threshold below 1 breaks its rule.
+        with pytest.raises(ComputationError) as caught:
+            statistical_methodology(1e308, 1e-320, 0.1)
+        assert str(caught.value) == "saturation_threshold must be at least 1"
 
 
 class TestUnvalidatedWeights:
@@ -682,6 +686,23 @@ class TestUnvalidatedWeights:
         with pytest.raises(ComputationError) as caught:
             component_score(ComponentId.CREDIBILITY, subs, self._config(**weights))
         assert str(caught.value) == "component C: applicable weights do not sum to a finite number"
+
+    def test_a_missing_weight_is_refused_as_the_gate_refuses_it(self):
+        # A KeyError escaped before.
+        subs = [SubScore(metric, 0.5, True, "digest") for metric in MetricId]
+        config = self._config()
+        weights = {metric: weight for metric, weight in config.weights.items() if metric.value != "IM"}
+        config = dataclasses.replace(config, weights=weights)
+        with pytest.raises(SchemaError) as caught:
+            component_score(ComponentId.CREDIBILITY, subs, config)
+        assert str(caught.value) == "weights: missing entry for IM"
+
+    @pytest.mark.parametrize("alpha", [(0.25,) * 3, (0.25,) * 5, 0.25, None], ids=["three", "five", "float", "none"])
+    def test_trust_score_refuses_an_alpha_that_is_not_four_coefficients(self, alpha):
+        # A bare ValueError or TypeError escaped before.
+        with pytest.raises(SchemaError) as caught:
+            trust_score(0.5, 0.5, 0.5, 0.5, alpha)
+        assert str(caught.value) == "alpha: expected exactly four coefficients"
 
     def test_weights_that_renormalise_past_float_range_are_refused(self):
         subs = [SubScore(metric, 0.5, True, "digest") for metric in MetricId]
