@@ -101,7 +101,7 @@ def _require_finite(name: str, value: float) -> None:
 
 
 def _guard(where: str, stats: object, reads: tuple[str, ...] = (), index: int | None = None) -> None:
-    """Refuse ``stats`` if it breaks a rule of its class on a field in ``reads``, or on any field.
+    """Refuse ``stats`` if it breaks a rule of its class on a field in ``reads`` (with none, on any field).
 
     ``validate_manifest``'s check runs in strict mode, so an int must be
     finite too.  A field read that is not finite is named first, else the
