@@ -579,15 +579,11 @@ def _weight_config_decoder() -> Callable:
 _BUILDERS[WeightConfig] = _weight_config_decoder
 
 
-def weight_config_from_obj(obj: object, path: str = "") -> WeightConfig:
-    """Decode and normalise an already-parsed weight configuration document.
-
-    ``path`` locates a config inside another document (``report.config``);
-    every message then starts with it.
-    """
+def weight_config_from_obj(obj: object) -> WeightConfig:
+    """Decode and normalise an already-parsed weight configuration document."""
     if obj == "equal":
         return equal_weight_config()
-    return _decoder(WeightConfig)(obj, path)
+    return _decoder(WeightConfig)(obj, "")
 
 
 def _by_code(pairs: Iterable[tuple]) -> list[tuple]:

@@ -391,15 +391,17 @@ def validate_manifest(manifest: DatasetManifest) -> list[Violation]:
     by a function built from those declarations on first use; absent
     optional sections are skipped.  A NaN, an infinity or an integer
     beyond float range in a float field is reported as not finite in
-    place of that field's rule (the check's ``strict`` mode is off).
+    place of that field's rule (the check's ``strict`` mode is off), and
+    a value that is not an int or float in a number field as not a number.
     """
     if not isinstance(manifest, DatasetManifest):
         raise SchemaError(f"manifest: expected a DatasetManifest, got {type(manifest).__name__}")
     found: list[Violation] = []
     _rule_check(type(manifest))(manifest, "", None, found)
-    # Unlike the at_most pairs, the layer count is compared whatever the two fields hold.
+    # Unlike the at_most pairs, the layer count is compared whatever number the total holds.
     coverage = manifest.coverage
-    if len(coverage.standard_layers_covered) > coverage.standard_layers_total:
+    total = coverage.standard_layers_total
+    if isinstance(total, (int, float)) and len(coverage.standard_layers_covered) > total:
         found.append(Violation("coverage.standard_layers_covered", "cannot exceed standard_layers_total"))
     return found
 
@@ -435,17 +437,22 @@ def _rule_test(test: str) -> Callable:
     return eval(f"lambda value: {test}", {"STANDARD_LAYERS": STANDARD_LAYERS})
 
 
-def _fault(name: str, test: str, describe: Callable) -> Callable:
+def _fault(name: str, test: str, describe: Callable, number: bool) -> Callable:
     """``fault(value, where, index, found, finite, position=None)``: record the violation ``value`` makes, if any.
 
-    A value not ``finite`` breaks that first.  It returns ``(name,)`` when
-    it records one for a field; ``position`` places an item of a tuple.
+    In a ``number`` field, a value that is not an int or a float breaks
+    that first (a bool reads as its int); a value not ``finite`` comes
+    next.  It returns ``(name,)`` when it records one for a field;
+    ``position`` places an item of a tuple.
     """
 
     def fault(value: object, where: str, index: int | None, found: list, finite: bool, position: int | None = None):
-        message = _not_finite(value) if finite else None
-        if message is None and not _rule_test(test)(value):
-            message = describe(value)
+        if number and not isinstance(value, (int, float)):
+            message = f"must be a number, got {type(value).__name__}"
+        else:
+            message = _not_finite(value) if finite else None
+            if message is None and not _rule_test(test)(value):
+                message = describe(value)
         if message is None:
             return ()
         place = _prefix(where, index) + name
@@ -486,7 +493,7 @@ def _rule_check(cls: type) -> Callable:
         test, describe = spec.metadata.get("rule") or ("True", None)
         if test == "True" and item is not float:
             continue
-        namespace[f"f{n}"] = _fault(spec.name, test, describe)
+        namespace[f"f{n}"] = _fault(spec.name, test, describe, item in (int, float))
         fast = f"type(value) is {item.__name__} and L <= value <= H and {test}" if item in (int, float) else test
         finite = {float: "True", int: "s"}.get(item, "False")
         if many:

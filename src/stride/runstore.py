@@ -20,13 +20,15 @@ the one this save would write, up to its timestamp, is kept unparsed;
 any other only if :func:`load_run` would serve it, by the same check.
 Loading a full 64-digit id opens its record directly, and a prefix or a
 missing record goes through :func:`resolve_run_id`.  A record in saved
-form for the report that it decodes to is served with no other parse.
-Any other, such as one in the older indented form, is parsed refusing
-non-finite numbers and re-encoded entry by entry; its run id, digests
-and decoded report's own id must agree.  Either way, the component
-scores and the trust, recomputed from the stored sub-scores and config
-with the fold that scoring uses, must match bit for bit, as must the
-config's weights the normalised ones that they load as.
+form for the report that it decodes to is that report's own record, so
+it is served with no other parse.  Any other, such as one in the older
+indented form, is parsed refusing non-finite numbers; its report must
+hash to its run id, its digests must be those of its report, and the
+report it decodes to must have that id too.  So a stored config weight
+that is not, bit for bit, the normalised one it loads as is refused.
+Either way, the component scores and the trust, recomputed from the
+stored sub-scores and config with the fold that scoring uses, must
+match bit for bit.
 
 Filesystem errors while saving raise :class:`StoreError`, and so does a
 report holding NaN or an infinity, before anything is written.  A record
@@ -34,8 +36,8 @@ that cannot be read or decoded, including one holding NaN, an infinity
 or a number beyond float range, is a store fault too: loading it raises
 :class:`StoreError`, and so does a record whose envelope fields are not
 strings, whose manifest or config digest contradicts its report, whose
-report loads as a report of another id, whose config weights are not
-normalised, or whose component scores or trust contradict its sub-scores.
+report loads as a report of another id, or whose component scores or
+trust contradict its sub-scores.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from pathlib import Path
 from typing import BinaryIO
 
 from ._records import record
-from .digests import _splice, _text_digest, canonical_json, content_digest
+from .digests import _text_digest, canonical_json, content_digest
 from .errors import ComputationError, SchemaError, StoreError, StrideError
 from .io import (
-    _WEIGHT_GROUPS,
     _canonical_report,
     _finite_float,
     _literal_error,
@@ -100,16 +101,15 @@ def _saved_form(report: StrideReport) -> tuple[str, str, str]:
 
     That is ``canonical_json(record)`` spelled out around the report text,
     whose digests and timestamp are hex and ISO text.  A report that the
-    writer does not take has each entry encoded on its own and spliced.
+    writer does not take has its document and the two entries encoded.
     """
     texts = _canonical_report(report)
     if texts is None:
-        report_dict = report_to_dict(report)
-        try:  # in key order, so that the first non-finite value is the one canonical_json(report_dict) meets
-            entries = {key: canonical_json(report_dict[key]) for key in sorted(report_dict)}
+        document = report_to_dict(report)
+        try:
+            texts = tuple(canonical_json(part) for part in (document, document["config"], document["manifest_digest"]))
         except ValueError as exc:  # canonical JSON refuses NaN and the infinities
             raise StoreError(f"report has no run id: {exc}") from None
-        texts = _splice(entries), entries["config"], entries["manifest_digest"]
     report_text, config_text, digest_text = texts
     run_id, config_digest = _text_digest(report_text), _text_digest(config_text)
     head = (
@@ -290,18 +290,22 @@ def load_run(run_id: str, store_path: Path | str) -> RunRecord:
 def _saved_record(text: str, full_id: str) -> RunRecord | None:
     """The run in ``text`` if it is, byte for byte, what :func:`save_run` writes for its decoded report; else None.
 
+    The report must have the id ``full_id``.  Such a record is that
+    report's own, envelope, digests and config included, so only its
+    arithmetic is left to check.
     :func:`_verified_record` would serve the same run, since canonical
     text parses back to itself; it takes every other record.
     """
     try:
         raw = json.loads(text)
         report = report_from_dict(raw["report"])
-        run_id, config_digest, head = _saved_form(report)
+        run_id, _, head = _saved_form(report)
     except (ValueError, TypeError, KeyError, RecursionError, StrideError):
         return None
     if run_id != full_id or not _is_saved_form(text, head):
         return None
-    return _served(raw, report, full_id, config_digest)
+    _check_arithmetic(report, full_id)
+    return RunRecord(raw["run_id"], raw["timestamp"], raw["manifest_digest"], raw["config_digest"], report)
 
 
 def _check_arithmetic(report: StrideReport, full_id: str) -> None:
@@ -325,23 +329,6 @@ def _check_arithmetic(report: StrideReport, full_id: str) -> None:
         raise StoreError(f"run {full_id}: stored trust does not match its component scores")
 
 
-def _check_config(stored: dict, report: StrideReport, full_id: str) -> None:
-    """Refuse a report whose stored config weights are not, bit for bit, those it loads with.
-
-    Loading renormalises the config's weights, as for a config document;
-    :func:`save_run` writes a config that scoring has normalised already,
-    so its weights come back unchanged.  A record edited to other weights
-    and renamed to its new hash would otherwise be served with weights
-    that hash to another id.  Alpha and the flags load as they are stored.
-    """
-    weights = report.config_snapshot.weights
-    for group, members in _WEIGHT_GROUPS.items():
-        entries = stored["config"][group]
-        for metric, code in members:
-            if not _same_bits(entries[code], weights[metric]):
-                raise StoreError(f"run {full_id}: stored config.{group}.{code} is not a normalised weight")
-
-
 def _same_bits(stored: float, computed: float) -> bool:
     """Equality that also tells 0.0 from -0.0; neither side is NaN."""
     return stored == computed and (stored != 0 or math.copysign(1.0, stored) == math.copysign(1.0, computed))
@@ -358,27 +345,18 @@ def _verified_record(raw: dict, full_id: str) -> RunRecord:
     if raw["run_id"] != full_id:
         raise StoreError(f"run {full_id}: record carries mismatched id {raw['run_id']!r}")
     stored = raw["report"]
-    # The report's canonical text, each entry encoded once; the config entry's
-    # text is the one the config digest was taken from.
-    texts = {key: canonical_json(value) for key, value in stored.items()} if isinstance(stored, dict) else None
-    if _text_digest(canonical_json(stored) if texts is None else _splice(texts)) != full_id:
+    if content_digest(stored) != full_id:
         raise StoreError(f"run {full_id}: stored report does not match its id")
     try:
         report = report_from_dict(stored)
     except SchemaError as exc:
         raise StoreError(f"run {full_id}: stored report is malformed: {exc}") from None
-    record = _served(raw, report, full_id, _text_digest(texts["config"]))
-    if run_id_for(report) != full_id:
-        raise StoreError(f"run {full_id}: stored report loads as a report of another id")
-    return record
-
-
-def _served(raw: dict, report: StrideReport, full_id: str, config_digest: str) -> RunRecord:
-    """The run of a record whose report decodes as ``report``, once its digests and scores are checked."""
     if raw["manifest_digest"] != report.manifest_digest:
         raise StoreError(f"run {full_id}: record manifest_digest does not match its report")
-    if raw["config_digest"] != config_digest:
+    if raw["config_digest"] != content_digest(stored["config"]):
         raise StoreError(f"run {full_id}: record config_digest does not match its report")
     _check_arithmetic(report, full_id)
-    _check_config(raw["report"], report, full_id)
+    # A stored weight that is not the normalised one it loads as is refused here.
+    if run_id_for(report) != full_id:
+        raise StoreError(f"run {full_id}: stored report loads as a report of another id")
     return RunRecord(raw["run_id"], raw["timestamp"], raw["manifest_digest"], raw["config_digest"], report)

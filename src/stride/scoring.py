@@ -32,6 +32,7 @@ from .io import manifest_to_dict
 from .model import (
     COMPONENT_CODES,
     COMPONENT_METRICS,
+    _SUM_TOLERANCE,
     AgilityStats,
     AnnotationStats,
     ComponentId,
@@ -93,7 +94,9 @@ def sigmoid(z: float) -> float:
 
 
 def _require_finite(name: str, value: float) -> None:
-    """Refuse NaN, the infinities and integers beyond float range."""
+    """Refuse a value that is not an int or a float, NaN, the infinities and integers beyond float range."""
+    if not isinstance(value, (int, float)):
+        raise ComputationError(f"{name} must be a number, got {type(value).__name__}")
     if not _is_finite(value):
         if isinstance(value, int):  # too long to repeat
             raise ComputationError(f"{name} is beyond float range")
@@ -298,7 +301,7 @@ def _fold(
         raise ComputationError(f"component {component_id.value}: applicable weights do not sum to a finite number")
     if raw_total == 0:
         raise ComputationError(f"component {component_id.value}: applicable weights sum to zero")
-    rescale = abs(raw_total - 1.0) > 1e-12
+    rescale = abs(raw_total - 1.0) > _SUM_TOLERANCE  # as validate_weight_config rescales
 
     terms = []
     total = 0.0

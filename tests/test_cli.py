@@ -343,7 +343,7 @@ class TestExplain:
         captured = capsys.readouterr()
         assert exit_code == 3
         assert captured.out == ""
-        assert captured.err == f"error: run {new_id}: stored config.credibility.IM is not a normalised weight\n"
+        assert captured.err == f"error: run {new_id}: stored report loads as a report of another id\n"
 
 
 class TestValidate:

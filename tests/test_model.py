@@ -351,6 +351,67 @@ class TestNonFiniteManifestValues:
         assert rendered == ["temporal.lag_years: must be non-negative", "temporal.decay_rate: must be positive"]
 
 
+def _number_trails(node, trail=()):
+    """The attribute trail to every int or float inside the record ``node``."""
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for index, item in items:
+            at = trail + ((field.name,) if index is None else (field.name, index))
+            if type(item) in (int, float):
+                yield at
+            elif dataclasses.is_dataclass(item):
+                yield from _number_trails(item, at)
+
+
+def _path(trail) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in trail).lstrip(".")
+
+
+class TestNonNumbersInNumberFields:
+    """A manifest built in Python may hold anything in a number field: it is a violation, not a bare TypeError."""
+
+    MANIFEST = TestNonFiniteManifestValues.MANIFEST
+
+    def test_every_number_field_is_covered(self):
+        paths = {tuple(key for key in trail if isinstance(key, str)) for trail in _number_trails(self.MANIFEST)}
+        assert len(paths) == 36
+        assert {("coverage", "standard_layers_total"), ("governance", "accuracy_series")} <= paths
+
+    @pytest.mark.parametrize("value", ["2", None, b"2", [1]], ids=["str", "None", "bytes", "list"])
+    def test_each_is_reported_once_by_its_path(self, value):
+        # Each raised TypeError before, but coverage.external_data_flag, reported as not 0 or 1.
+        shown = type(value).__name__
+        for trail in _number_trails(self.MANIFEST):
+            violations = validate_manifest(_replaced(self.MANIFEST, trail, value))
+            assert [str(v) for v in violations] == [f"{_path(trail)}: must be a number, got {shown}"]
+
+    @pytest.mark.parametrize(
+        ("section", "field", "value"),
+        [
+            ("temporal", "lag_years", "2"),
+            ("coverage", "countries_total", "10"),
+            ("governance", "accuracy_series", ("a",)),
+        ],
+    )
+    def test_scoring_refuses_it_as_the_gate_does(self, luxshare_manifest, section, field, value):
+        manifest = dataclasses.replace(
+            luxshare_manifest, **{section: dataclasses.replace(getattr(luxshare_manifest, section), **{field: value})}
+        )
+        path = f"{section}.{field}" + ("[0]" if isinstance(value, tuple) else "")
+        assert [str(v) for v in validate_manifest(manifest)] == [f"{path}: must be a number, got str"]
+        with pytest.raises(SchemaError) as caught:
+            score_dataset(manifest, equal_weight_config())
+        assert str(caught.value) == f"manifest validation failed: {path}: must be a number, got str"
+
+    def test_a_bool_reads_as_its_int(self):
+        for trail in _number_trails(self.MANIFEST):
+            for flag in (False, True):
+                as_bool = validate_manifest(_replaced(self.MANIFEST, trail, flag))
+                as_int = validate_manifest(_replaced(self.MANIFEST, trail, int(flag)))
+                assert [v.path for v in as_bool] == [v.path for v in as_int]
+
+
 # Number fields that only have to be finite.
 UNCONSTRAINED = {"AgilityStats.accuracy_gain"}
 

@@ -14,7 +14,7 @@ import pytest
 from manifest_factory import random_manifest, skewed_config
 from stride.digests import canonical_json, content_digest
 from stride.errors import StoreError, StrideError
-from stride.io import report_to_dict
+from stride.io import report_to_dict, weight_config_to_dict
 from stride.model import COMPONENT_METRICS, ComponentId, MetricId, WeightConfig, equal_weight_config
 from stride.runstore import (
     load_run,
@@ -388,6 +388,15 @@ def _scale_credibility(factor: float):
     return edit
 
 
+# (group, code) of each of the thirteen weights in a stored config.
+WEIGHT_SLOTS = [
+    (group, code)
+    for group, entries in sorted(weight_config_to_dict(equal_weight_config()).items())
+    if group not in ("alpha", "applicability")
+    for code in entries
+]
+
+
 def _no_credibility(document):
     for sub in document["sub_scores"]:
         if sub["metric_id"] in ("IM", "AT", "ER", "TR"):
@@ -443,13 +452,9 @@ class TestStoredArithmetic:
         ("config", "edit", "reason"),
         [
             # Doubled weights renormalise to the stored ones, so the scores still add up.
-            (equal_weight_config, _scale_credibility(2.0), "stored config.credibility.IM is not a normalised weight"),
+            (equal_weight_config, _scale_credibility(2.0), "stored report loads as a report of another id"),
             # AT is inapplicable under the skewed config, so its weight loads as 0.0.
-            (
-                skewed_config,
-                _set("config", "credibility", "AT", -0.0),
-                "stored config.credibility.AT is not a normalised weight",
-            ),
+            (skewed_config, _set("config", "credibility", "AT", -0.0), "stored report loads as a report of another id"),
         ],
         ids=["credibility doubled", "inapplicable weight negative zero"],
     )
@@ -460,6 +465,48 @@ class TestStoredArithmetic:
         run_id = _write_edited(tmp_path, score_dataset(luxshare_manifest, config()), edit)
         with pytest.raises(StoreError, match=f"^run {run_id}: {re.escape(reason)}$"):
             load_run(run_id, tmp_path)
+
+    @pytest.mark.parametrize(
+        ("config", "group", "code", "value"),
+        [(equal_weight_config, group, code, "doubled") for group, code in WEIGHT_SLOTS]
+        + [
+            (skewed_config, group, code, value)
+            for group, code in WEIGHT_SLOTS
+            if not skewed_config().applicability[MetricId(code)]
+            for value in (-0.0, 0.5)
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_every_stored_weight_that_does_not_load_as_itself_is_refused(
+        self, luxshare_manifest, tmp_path, config, group, code, value
+    ):
+        scored = score_dataset(luxshare_manifest, config())
+        weights = scored.config_snapshot.weights
+        weight = weights[MetricId(code)] * 2 if value == "doubled" else value
+        as_stored = dataclasses.replace(
+            scored,
+            config_snapshot=dataclasses.replace(scored.config_snapshot, weights={**weights, MetricId(code): weight}),
+        )
+        edit = _set("config", group, code, weight)
+        run_id = _write_edited(tmp_path / "saved", scored, edit)
+        assert run_id_for(as_stored) == run_id
+        # Loaded, the weight is renormalised or zeroed: the record's scores may not add up, and its
+        # report has another id.  An inapplicable weight leaves the scores as they are.
+        component = next(component for component, members in COMPONENT_METRICS.items() if MetricId(code) in members)
+        reasons = {"stored report loads as a report of another id"}
+        if value == "doubled":
+            reasons.add(f"stored component_scores.{component.value} does not match its sub-scores")
+        with pytest.raises(StoreError, match=f"^run {run_id}: ") as raised:
+            load_run(run_id, tmp_path / "saved")
+        reason = str(raised.value).removeprefix(f"run {run_id}: ")
+        assert reason in reasons
+        # save_run keeps a record in its own saved form unparsed, so it is offered the record indented.
+        assert _write_edited(tmp_path / "indented", scored, edit, indent=2) == run_id
+        refusal = f"run {run_id}: stored content does not match its id: {reason}"
+        with pytest.raises(StoreError, match=f"^{re.escape(refusal)}$"):
+            save_run(as_stored, tmp_path / "indented")
+        with pytest.raises(StoreError, match=f"^run {run_id}: {re.escape(reason)}$"):
+            load_run(run_id, tmp_path / "indented")
 
     @pytest.mark.parametrize(
         "edit",

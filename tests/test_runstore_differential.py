@@ -1,7 +1,7 @@
 """The run store against its frozen reference, ``runstore_oracle``.
 
-Saving splices the report's canonical text from its entries and opens
-the store's files directly; loading re-encodes the parsed report once.
+Saving takes the report's canonical text from the report writer and
+opens the store's files directly; loading encodes the parsed report once.
 None of that may change what the store does: for every input below, the
 engine and the oracle must return equal values (or raise the same
 exception type with the same message), and leave the same bytes on disk.
@@ -459,7 +459,7 @@ def _scale(*path_and_factor):
 
 EDITED = {
     **{name: (edit, reason) for name, (edit, reason) in REFUSED_AS_INCONSISTENT.items()},
-    "credibility doubled": (_scale("config", "credibility", 2.0), "stored config.credibility.IM is not a normalised weight"),
+    "credibility doubled": (_scale("config", "credibility", 2.0), "stored report loads as a report of another id"),
     "components doubled": (_scale("component_scores", 2.0), "stored component_scores.C does not match its sub-scores"),
     "S as an integer": (_edit("component_scores", "S", 1), "stored report loads as a report of another id"),
     "a value as an integer": (_edit("sub_scores", 12, "value", int), "stored report loads as a report of another id"),

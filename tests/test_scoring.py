@@ -483,6 +483,82 @@ class TestSectionMetricsRefuseNaN:
             call()
 
 
+class TestNonNumbersInNumberFields:
+    """Each leaf metric refuses a value that is not a number where it reads one, as the gate reports it."""
+
+    @pytest.mark.parametrize(
+        ("call", "refusal"),
+        [
+            (
+                lambda: inclusiveness_materiality(CoverageProfile(3, "10", 3, 5, frozenset(), 5, 0)),
+                "coverage.countries_total must be a number, got str",
+            ),
+            (
+                lambda: auditability_traceability(
+                    [EvidenceItem("e1", "doc://a", 0.5, 0.5), EvidenceItem("e2", "doc://b", "1", 0.5)]
+                ),
+                "evidence[1].auditability must be a number, got str",
+            ),
+            (
+                lambda: exemplary_reference(RecognitionProfile("3", 0.5)),
+                "recognition.recognitions_per_year must be a number, got str",
+            ),
+            (lambda: time_relevance(TemporalProfile("2", 0.3)), "temporal.lag_years must be a number, got str"),
+            (lambda: statistical_methodology(10, 10, None), "share_deviation must be a number, got NoneType"),
+            (
+                lambda: ground_truth(AnnotationStats(0.5, [1.0], 5.0, 0.1, 0.1)),
+                "annotation.mean_tenure_years must be a number, got list",
+            ),
+            (lambda: agility(AgilityStats("0.1", 0.5)), "agility.accuracy_gain must be a number, got str"),
+            (lambda: security_safety(SafetyAudit(1, b"10")), "safety.total_rows must be a number, got bytes"),
+            (
+                lambda: human_governed(_governance(governed_cases="527")),
+                "governance.governed_cases must be a number, got str",
+            ),
+            (lambda: domain_expert(_governance(stages_total="15")), "governance.stages_total must be a number, got str"),
+            (
+                lambda: transparency(_governance(assumptions_required="2")),
+                "governance.assumptions_required must be a number, got str",
+            ),
+            (
+                lambda: role_separation(_governance(role_relations_separated=None)),
+                "governance.role_relations_separated must be a number, got NoneType",
+            ),
+            (lambda: iterative_feedback(["a", 0.5]), "accuracy_series[0] must be a number, got str"),
+            (lambda: iterative_feedback((0.5, 0.6, None)), "accuracy_series[2] must be a number, got NoneType"),
+        ],
+        ids=[
+            "inclusiveness_materiality",
+            "auditability_traceability",
+            "exemplary_reference",
+            "time_relevance",
+            "statistical_methodology",
+            "ground_truth",
+            "agility",
+            "security_safety",
+            "human_governed",
+            "domain_expert",
+            "transparency",
+            "role_separation",
+            "iterative_feedback",
+            "iterative_feedback last",
+        ],
+    )
+    def test_refused(self, call, refusal):
+        # Each raised a bare TypeError before.
+        with pytest.raises(ComputationError) as caught:
+            call()
+        assert str(caught.value) == refusal
+
+    def test_a_governance_metric_looks_only_at_the_fields_it_reads(self):
+        assert human_governed(_governance(experts_total="1", accuracy_series=("a",))) == 56 / 527
+
+    def test_a_bool_reads_as_its_int(self):
+        assert time_relevance(TemporalProfile(True, 0.3)) == time_relevance(TemporalProfile(1, 0.3))
+        assert security_safety(SafetyAudit(False, 10)) == 1.0
+        assert iterative_feedback([False, True]) == iterative_feedback([0, 1]) == 1.0
+
+
 class TestIntegersBeyondFloatRangeAndNaN:
     """Each function refuses NaN and integers beyond float range in what it reads, naming the field."""
 
